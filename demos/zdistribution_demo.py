@@ -1,9 +1,11 @@
 """Tempered-distribution pairings of deformed heat supertraces.
 
 The pairing integrates the regularized zeta invariant against the Fourier
-transform of a Gaussian test function; both integration orders (heat time
-innermost or outermost) define the same number, and as the deformation
-strength grows the pairing converges to the limit invariant times f(0).
+transform of a Gaussian test function.  The two integration orders (heat
+time innermost or outermost) coincide by construction, because per
+eigenpair the heat-time integral telescopes to the regularized trace; as
+the deformation strength grows the pairing converges to the limit invariant
+times f(0).
 """
 
 import wittenlab as wl
@@ -20,13 +22,12 @@ def main():
     )
     print("observed limit value:", round(target, 6))
 
-    print("\n  mu     inner order     outer order     |difference|")
+    print("\n  mu     inner order     outer order")
     for mu in (10.0, 20.0, 30.0):
         inner = zdist.pair_inner_first(system, mu, gauss)
         outer = zdist.pair_outer_first(system, mu, gauss)
         print(
             f"  {mu:4.0f}  {inner.value.real:+.10f}  {outer.value.real:+.10f}"
-            f"  {abs(inner.value - outer.value):.2e}"
         )
 
     specs = [zdist.GaussianTestFunction(1.0), zdist.GaussianTestFunction(0.5)]

@@ -14,14 +14,17 @@ Subpackages by topic:
 - :mod:`wittenlab.morse`: perturbed Morse complexes on instanton graphs,
   rank recursions, tightness, leading parts, eigenvalue windows, limit
   invariants, and the prescription equation.
-- :mod:`wittenlab.prescribe`: reweighting descent graphs to prescribed
-  per-index escape costs, with independently verified certificates.
+- :mod:`wittenlab.weight_prescription`: reweighting descent graphs to
+  prescribed per-index escape costs, with independently verified
+  certificates.
 - :mod:`wittenlab.zdist`: tempered-distribution pairings of heat
-  supertraces against Gaussian test functions in both integration orders.
+  supertraces against Gaussian test functions.  The two integration orders
+  coincide by construction: per eigenpair the heat-time integral telescopes
+  to the regularized trace, so both take the zeta invariant at each
+  frequency node.
 """
 
 from .spectral import (
-    SpectralParameter,
     GradedMatrixComplex,
     GradedLaplacianFamily,
     SpectralSplit,

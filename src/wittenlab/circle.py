@@ -43,7 +43,6 @@ __all__ = [
     "CircleInstantonData",
     "ZetaInvariantResult",
     "make_standard_profile",
-    "standard_one_form",
     "assemble_circle_complex",
     "betti_novikov",
     "zeta_invariant",
@@ -52,7 +51,6 @@ __all__ = [
     "mathai_quillen_1d",
     "phi_map_circle",
     "cutoff_state",
-    "psi_map_circle",
     "phi_psi_matrix",
     "torus_tensor",
     "torus_function_weight",
@@ -247,11 +245,6 @@ class StandardOneForm:
         return out
 
 
-def standard_one_form(positions, indices, weights, r=0.35) -> StandardOneForm:
-    """Public constructor for a standard-form closed one-form."""
-    return StandardOneForm(positions, indices, weights, r)
-
-
 def make_standard_profile(zero_spec, r=0.35, N=256):
     """Morse profile samples with exact quadratic caps at the given zeros.
 
@@ -260,23 +253,11 @@ def make_standard_profile(zero_spec, r=0.35, N=256):
     alternation (drop when leaving a maximum).  Returns the h samples on the
     N-point grid; the derivative has exact linear caps of radius r.
     """
-    spec = sorted(((float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec))
-    positions = [s[0] for s in spec]
-    values = [s[1] for s in spec]
-    indices = [s[2] for s in spec]
-    m = len(spec)
-    weights = []
-    for i in range(m):
-        dv = values[(i + 1) % m] - values[i]
-        if indices[i] == 1 and dv >= 0:
-            raise GeometryError(f"value must drop after the maximum at arc {i}")
-        if indices[i] == 0 and dv <= 0:
-            raise GeometryError(f"value must rise after the minimum at arc {i}")
-        weights.append(dv)
-    form = StandardOneForm(positions, indices, weights, r)
-    system = CircleWittenSystem(form, N=N, label="standard profile")
-    offset = values[0] - system.h_at(positions[0])
-    return system.h + offset
+    system = CircleWittenSystem.from_standard_zeros(zero_spec, r=r, N=N)
+    position, value, _ = min(
+        (float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec
+    )
+    return system.h + (value - system.h_at(position))
 
 
 # --------------------------------------------------------------------------
@@ -496,8 +477,9 @@ class CircleWittenSystem:
 
     def zeta_data(self, z):
         """Cached small payload per parameter: singular values, the diagonal
-        pairings needed by traces (eta, h, and identity insertions), and the
-        kernel contribution of the h-weight."""
+        pairings needed by traces (eta, h, and identity insertions), the
+        kernel contribution of the h-weight, and the one kernel threshold
+        with the kernel count and nonzero/small masks every consumer reads."""
         z = complex(z)
         if z not in self._zeta_cache:
             sigma, u, v = self.spectrum(z)
@@ -517,7 +499,8 @@ class CircleWittenSystem:
             else:
                 kernel_term = 0.0 + 0.0j
             self._zeta_cache[z] = _ZetaData(
-                sigma, coeffs, h0, h1, id_diag, kernel_term, int(ker.sum())
+                sigma, coeffs, h0, h1, id_diag, kernel_term, int(ker.sum()),
+                tol, sigma > tol, sigma**2 <= 1.0,
             )
         return self._zeta_cache[z]
 
@@ -530,7 +513,10 @@ class _ZetaData:
     h1: np.ndarray  # <h u_j, u_j>
     id_diag: np.ndarray  # <v_j, u_j>
     kernel_term: complex  # degree-alternating h-expectation over the kernels
-    kernel_count: int
+    kernel_count: int  # sigma < tol
+    tol: float  # kernel threshold from CircleWittenSystem.sigma_tolerance
+    nonzero: np.ndarray  # sigma > tol
+    small: np.ndarray  # sigma^2 <= 1, the small branch of the spectrum
 
 
 # --------------------------------------------------------------------------
@@ -553,8 +539,8 @@ def betti_novikov(system, z):
     genuinely tiny nonzero eigenvalues are kept out of the kernel for as
     long as double precision can represent them.
     """
-    sigma = system.zeta_data(z).sigma
-    tol = system.sigma_tolerance(sigma)
+    data = system.zeta_data(z)
+    sigma, tol = data.sigma, data.tol
     near = np.count_nonzero((sigma >= tol / 10.0) & (sigma <= tol * 10.0))
     if near:
         warnings.warn(
@@ -562,8 +548,7 @@ def betti_novikov(system, z):
             AmbiguousKernel,
             stacklevel=2,
         )
-    b0 = int(np.count_nonzero(sigma < tol))
-    return (b0, b0)
+    return (data.kernel_count, data.kernel_count)
 
 
 def rotation_reference_sum(N, z, c):
@@ -631,17 +616,15 @@ def zeta_invariant(system, z, t_sequence=None, order=1) -> ZetaInvariantResult:
     z = complex(z)
     ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence()
     data = system.zeta_data(z)
-    sigma = data.sigma
-    tol = system.sigma_tolerance(sigma)
-    small_count = int(np.count_nonzero(sigma**2 <= 1.0))
+    sigma, nz = data.sigma, data.nonzero
+    small_count = int(np.count_nonzero(data.small))
     counts = system.counts
     if small_count != counts[0]:
         raise StateError(
             f"small spectrum has {small_count} states per degree, expected "
             f"{counts[0]}; increase mu"
         )
-    nz = sigma > tol
-    small_nz = nz & (sigma**2 <= 1.0)
+    small_nz = nz & data.small
     amp = np.zeros_like(data.eta_diag)
     amp[nz] = data.eta_diag[nz] / sigma[nz]
     zeta_sm = -complex(np.sum(amp[small_nz]))
@@ -703,9 +686,7 @@ def exact_identity_residual(system, z, t):
     if t <= 0:
         raise DomainError("heat time must be positive")
     data = system.zeta_data(complex(z))
-    sigma = data.sigma
-    tol = system.sigma_tolerance(sigma)
-    nz = sigma > tol
+    sigma, nz = data.sigma, data.nonzero
     heat = np.exp(-t * sigma[nz] ** 2)
     lhs = -complex(np.sum(heat * data.eta_diag[nz] / sigma[nz]))
     rhs = -complex(np.sum(heat * (data.h0[nz] - data.h1[nz])))
@@ -915,16 +896,6 @@ def cutoff_state(system, z, p_idx, rho_radius=None):
     return (vals, zero) if zp.index == 0 else (zero, vals)
 
 
-def psi_map_circle(system, z, p_idx, rho_radius=None):
-    """Small-spectrum projection of the cutoff state of one zero."""
-    omega0, omega1 = cutoff_state(system, z, p_idx, rho_radius)
-    sigma, u, v = system.spectrum(complex(z))
-    small = sigma**2 <= 1.0
-    vs = v[:, small]
-    us = u[:, small]
-    return (vs @ (vs.conj().T @ omega0), us @ (us.conj().T @ omega1))
-
-
 def phi_psi_matrix(system, z, rho_radius=None):
     """Matrix of the cell-integration map composed with the projected cutoff
     states, plus the per-zero asymptotic targets (pi/mu)^{k/2} (mu/pi)^{1/4}."""
@@ -1015,10 +986,10 @@ def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
     the small branch and the linear lower bound of the large branch."""
     max_small, min_large, counts = [], [], []
     for mu in mu_sweep:
-        sigma = system.zeta_data(complex(mu, nu)).sigma
-        lam = sigma**2
-        small = lam[lam <= 1.0]
-        large = lam[lam > 1.0]
+        data = system.zeta_data(complex(mu, nu))
+        lam = data.sigma**2
+        small = lam[data.small]
+        large = lam[~data.small]
         max_small.append(float(small.max()) if small.size else 0.0)
         min_large.append(float(large.min()) if large.size else np.inf)
         counts.append(int(small.size))

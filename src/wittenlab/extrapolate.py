@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = ["RichardsonResult", "default_t_sequence", "richardson_sqrt"]
 
@@ -61,15 +61,6 @@ def richardson_sqrt(ts, values, order=1) -> RichardsonResult:
         diffs=tuple(diffs),
         converged=converged,
     )
-
-
-def require_converged(result: RichardsonResult, what="extrapolation"):
-    if not result.converged:
-        raise ConvergenceError(
-            f"{what} oscillates: tail differences {result.diffs[-3:]}",
-            data=result,
-        )
-    return result
 
 
 def oscillating(result: RichardsonResult) -> bool:

@@ -127,16 +127,6 @@ class InstantonGraph:
             require_negative=require_negative,
         )
 
-    def reversed(self):
-        """Flow reversal: index k -> n - k, edges reversed, weights kept.
-
-        Traversing an edge backwards against the negated one-form leaves the
-        integral unchanged, so the reversed graph is again strictly negative.
-        """
-        verts = [(v, self.n - self.index_of[v]) for v in self.vertices]
-        edges = [(e.q, e.p, e.sign, e.weight) for e in self.edges]
-        return InstantonGraph(verts, edges)
-
     # -- plain-text format: "v <id> <index>" and "e <p> <q> <sign> <weight>" --
 
     def dumps(self) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smooth_step", "bump01", "smooth_plateau"]
+__all__ = ["smooth_step", "smooth_plateau"]
 
 
 def _exp_flat(x):
@@ -29,16 +29,6 @@ def smooth_step(x):
     with np.errstate(invalid="ignore"):
         s = np.where(a + b > 0.0, a / np.where(a + b > 0.0, a + b, 1.0), 0.0)
     return s
-
-
-def bump01(x):
-    """C-infinity bump supported on (0, 1), max exp(-4) at x = 1/2."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > 1e-12) & (x < 1.0 - 1e-12)
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (xi * (1.0 - xi)))
-    return out
 
 
 def smooth_plateau(x, rise, fall):

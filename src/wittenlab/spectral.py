@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectralParameter",
     "GradedMatrixComplex",
     "GradedLaplacianFamily",
     "SpectralSplit",
@@ -53,29 +51,6 @@ _TOL_EIG = 1e-12
 _TOL_UNITARY = 1e-10
 
 SUBSETS = ("all", "perp", "small", "large")
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Complex deformation parameter z = mu + i nu."""
-
-    mu: float
-    nu: float = 0.0
-
-    def __post_init__(self):
-        if not (isfinite(self.mu) and isfinite(self.nu)):
-            raise DomainError("deformation parameter must have finite parts")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.mu, self.nu)
-
-    @classmethod
-    def of(cls, value) -> "SpectralParameter":
-        if isinstance(value, SpectralParameter):
-            return value
-        z = complex(value)
-        return cls(z.real, z.imag)
 
 
 class GradedMatrixComplex:
@@ -326,7 +301,7 @@ def _subset_mask(w, subset, tol):
     raise DomainError(f"subset must be one of {SUBSETS}, got {subset!r}")
 
 
-def _weight_diagonal(family, weight, k, frame):
+def _weight_diagonal(weight, k, frame):
     """Diagonal <B psi_j, psi_j> of the degree-k weight in the eigenframe."""
     if weight is None:
         return np.ones(frame.shape[1])
@@ -343,6 +318,22 @@ def _weight_diagonal(family, weight, k, frame):
     return np.einsum("ij,jk,ki->i", frame.conj().T, wk, frame)
 
 
+def _graded_sum(family, weight, select, term, graded=True) -> complex:
+    """sum_k sign_k sum_j term(lambda_j) <B psi_j, psi_j> over the
+    eigenvalues picked by ``select``, with sign_k = (-1)^k when graded."""
+    total = 0.0 + 0.0j
+    for k, (w, u) in enumerate(zip(family.eigenvalues, family.eigenframes)):
+        if w.size == 0:
+            continue
+        mask = select(w)
+        if not mask.any():
+            continue
+        diag = _weight_diagonal(weight, k, u)
+        sign = (-1.0) ** k if graded else 1.0
+        total += sign * np.sum(term(w[mask]) * diag[mask])
+    return complex(total)
+
+
 def heat_supertrace(family, weight, t, subset="all") -> complex:
     """Degree-alternating trace of B e^{-t D} restricted to a spectral subset.
 
@@ -354,16 +345,10 @@ def heat_supertrace(family, weight, t, subset="all") -> complex:
         raise DomainError("heat time t must be positive")
     family.require_spectra()
     tol = family.kernel_tolerance()
-    total = 0.0 + 0.0j
-    for k, (w, u) in enumerate(zip(family.eigenvalues, family.eigenframes)):
-        if w.size == 0:
-            continue
-        mask = _subset_mask(w, subset, tol)
-        if not mask.any():
-            continue
-        diag = _weight_diagonal(family, weight, k, u)
-        total += (-1.0) ** k * np.sum(np.exp(-t * w[mask]) * diag[mask])
-    return complex(total)
+    return _graded_sum(
+        family, weight, lambda w: _subset_mask(w, subset, tol),
+        lambda w: np.exp(-t * w),
+    )
 
 
 def zeta_via_spectrum(family, weight, s, lambda_cut=0.0, graded=True) -> complex:
@@ -379,14 +364,6 @@ def zeta_via_spectrum(family, weight, s, lambda_cut=0.0, graded=True) -> complex
     family.require_spectra()
     cut = max(float(lambda_cut), family.kernel_tolerance())
     s = complex(s)
-    total = 0.0 + 0.0j
-    for k, (w, u) in enumerate(zip(family.eigenvalues, family.eigenframes)):
-        if w.size == 0:
-            continue
-        mask = w > cut
-        if not mask.any():
-            continue
-        diag = _weight_diagonal(family, weight, k, u)
-        sign = (-1.0) ** k if graded else 1.0
-        total += sign * np.sum(w[mask] ** (-s) * diag[mask])
-    return complex(total)
+    return _graded_sum(
+        family, weight, lambda w: w > cut, lambda w: w ** (-s), graded
+    )

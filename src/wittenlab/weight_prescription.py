@@ -129,9 +129,6 @@ class PrescriptionResult:
     graph: InstantonGraph  # final negative weights
     stages: tuple
 
-    def weight_map(self):
-        return {i: e.weight for i, e in enumerate(self.graph.edges)}
-
 
 def prescribe_stages(graph: InstantonGraph, targets, strict=True):
     """Run the staged potential updates on an all-negative graph.

