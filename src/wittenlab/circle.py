@@ -35,7 +35,7 @@ from .extrapolate import default_t_sequence, oscillating, richardson_sqrt
 from .model import cutoff_normalization, default_cutoff
 from .morse import InstantonGraph
 from .smoothfn import smooth_plateau, smooth_step
-from .spectral import GradedMatrixComplex
+from .spectral import GradedMatrixComplex, assemble_laplacians, heat_supertrace
 
 __all__ = [
     "CircleZero",
@@ -954,16 +954,13 @@ def torus_function_weight(sys_a, sys_b):
 def torus_zeta_exact(sys_a, sys_b, z, t_sequence=None, order=1):
     """Zeta invariant of the exact torus via the trace identity: minus the
     t -> 0 limit of the supertrace of (h_a + h_b) e^{-t Lap} off the kernel."""
-    from .extrapolate import richardson_sqrt as _rich
-    from .spectral import assemble_laplacians, heat_supertrace
-
     ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence(
         t0=0.5, steps=8
     )
     family = assemble_laplacians(torus_tensor(sys_a, sys_b, z))
     weight = torus_function_weight(sys_a, sys_b)
     samples = [-heat_supertrace(family, weight, t, "perp") for t in ts]
-    extra = _rich(ts, samples, order=order)
+    extra = richardson_sqrt(ts, samples, order=order)
     return extra.value, extra
 
 
