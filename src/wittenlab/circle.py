@@ -34,8 +34,8 @@ from .errors import (
 from .extrapolate import default_t_sequence, oscillating, richardson_sqrt
 from .model import cutoff_normalization, default_cutoff
 from .morse import InstantonGraph
-from .smoothfn import smooth_plateau, smooth_step
-from .spectral import GradedMatrixComplex, assemble_laplacians, heat_supertrace
+from .smoothfn import SMOOTH_STEP_MOMENT, smooth_plateau, smooth_step
+from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex
 
 __all__ = [
     "CircleZero",
@@ -62,6 +62,10 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 _SIGMA_TOL_FACTOR = 1e-9
 _DENSE_MIN = 4096
+#: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, evicted
+#: oldest first: six 129-node pairings, a whole delta_limit_report sweep of
+#: three strengths and two test functions.
+_ZETA_CACHE_SIZE = 6 * 129
 
 _diff_matrix_cache = {}
 
@@ -137,14 +141,16 @@ class _ArcShape:
 
     The fill is a flat-top plateau, so the profile never dips between the
     cap fade-out and the interior; all junctions are flat to every order.
+    Both masses between the caps are closed forms in the smooth step S,
+    using S(t) + S(1 - t) = 1 (so S has mean 1/2) and the moment
+    C = integral of u S(u) over [0, 1]: the plateau holds inner (1 - rise),
+    and the two cap fade-outs of width w hold w r + w^2 (1 - 2C).
     """
 
     _CHI_FRAC = 0.2  # fraction of the inner length used to fade the caps out
     _RISE = 0.3  # plateau ramp fraction
 
     def __init__(self, a, b, r, target):
-        from scipy.integrate import quad
-
         self.a, self.b, self.r = a, b, r
         length = b - a
         if length <= 2.0 * r + 0.5 * r:
@@ -153,13 +159,14 @@ class _ArcShape:
             )
         self.inner = length - 2.0 * r
         base_caps = r * r  # two caps, r^2/2 each
-        mid, _ = quad(self._base_mid, a + r, b - r, limit=200)
-        plateau_mass, _ = quad(self._plateau, a + r, b - r, limit=200)
-        self.amp = (target - base_caps - mid) / plateau_mass
+        w = self._CHI_FRAC * self.inner
+        self.fade_mass = w * r + w * w * (1.0 - 2.0 * SMOOTH_STEP_MOMENT)
+        self.plateau_mass = self.inner * (1.0 - self._RISE)
+        self.amp = (target - base_caps - self.fade_mass) / self.plateau_mass
         if self.amp <= 0:
             raise GeometryError(
                 f"arc integral {target:.4f} below the geometric floor "
-                f"{base_caps + mid:.4f} for cap radius {r}"
+                f"{base_caps + self.fade_mass:.4f} for cap radius {r}"
             )
         xs = np.linspace(a + r, b - r, 2001)
         vals = self(xs)
@@ -315,7 +322,9 @@ class CircleWittenSystem:
         else:
             self.zeros = tuple(zeros) if zeros else self._locate_zeros()
             self.r = r
-        self.h = np.real(_eval_series(anti, self.theta))
+        # the grid is every (m/N)-th point of the dense grid, so one inverse
+        # FFT evaluates the primitive's series there
+        self.h = m * np.real(np.fft.ifft(anti))[:: m // N]
         self._validate()
         self._zeta_cache = {}
 
@@ -358,7 +367,7 @@ class CircleWittenSystem:
         N = N or len(h_samples)
         if h_samples.shape != (N,):
             raise ConfigError("profile samples must match the grid size")
-        eta = differentiation_matrix(N) @ h_samples + c
+        eta = np.real(differentiation_matrix(N) @ h_samples) + c
         return cls(eta, N=N, c=c, r=r, label=label or "profile samples")
 
     @classmethod
@@ -479,9 +488,14 @@ class CircleWittenSystem:
         """Cached small payload per parameter: singular values, the diagonal
         pairings needed by traces (eta, h, and identity insertions), the
         kernel contribution of the h-weight, and the one kernel threshold
-        with the kernel count and nonzero/small masks every consumer reads."""
+        with the kernel count and nonzero/small masks every consumer reads.
+
+        At most ``_ZETA_CACHE_SIZE`` parameters are kept; the oldest entry
+        is evicted first."""
         z = complex(z)
         if z not in self._zeta_cache:
+            if len(self._zeta_cache) >= _ZETA_CACHE_SIZE:
+                del self._zeta_cache[next(iter(self._zeta_cache))]
             sigma, u, v = self.spectrum(z)
             wv = self.eta[:, None] * v
             coeffs = np.einsum("ij,ij->j", u.conj(), wv)
@@ -852,10 +866,18 @@ def phi_map_circle(system, z, omega, p_idx) -> complex:
     base = np.concatenate([system.theta - TWO_PI, system.theta, system.theta + TWO_PI])
     vals = np.tile(omega1, 3)
     mask = (base > t_prev) & (base < t_next)
-    pts = base[mask]
-    h_rel = np.array([system.primitive(zp.position, t) for t in pts])
+    h_rel = _primitive_from(
+        system, zp.position, np.tile(system.h, 3)[mask], base[mask]
+    )
     integrand = np.exp(z * h_rel) * vals[mask]
     return complex(np.sum(integrand) * (TWO_PI / system.N))
+
+
+def _primitive_from(system, p, h_grid, t):
+    """system.primitive(p, t) for unwrapped copies t of grid points whose
+    grid values of h are ``h_grid``: h is periodic, so only the circulation
+    term sees the unwrapping."""
+    return h_grid - system.h_at(p) + system.c * (t - p)
 
 
 def cutoff_state(system, z, p_idx, rho_radius=None):
@@ -867,30 +889,39 @@ def cutoff_state(system, z, p_idx, rho_radius=None):
     cell-integration asymptotics then carry the constant
     (pi/mu)^{k/2} (mu/pi)^{1/4}.
     """
+    z = complex(z)
+    return _cutoff_state(system, z, p_idx, *_cutoff_profile(system, z, rho_radius))
+
+
+def _cutoff_profile(system, z, rho_radius):
+    """(cutoff radius, cutoff function, normalizer) shared by the cutoff
+    states of every zero at one parameter."""
     if system.r is None:
         raise StateError("cutoff states need a standard-form system (cap radius)")
-    z = complex(z)
-    mu, nu = z.real, z.imag
+    mu = z.real
     if mu <= 0:
         raise DomainError("cutoff states require mu > 0")
     r_hat = rho_radius if rho_radius is not None else 0.5 * system.r
     rho = default_cutoff(r_hat)
     a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
     # norm^2 of rho * (mu/pi)^{1/4} e^{-mu x^2/2} is (mu/pi)^{1/2} a_mu^2
-    normalizer = (mu / np.pi) ** 0.25 * a_mu
+    return r_hat, rho, (mu / np.pi) ** 0.25 * a_mu
+
+
+def _cutoff_state(system, z, p_idx, r_hat, rho, normalizer):
+    mu, nu = z.real, z.imag
     zp = system.zeros[p_idx]
     x = np.mod(system.theta - zp.position + np.pi, TWO_PI) - np.pi
     supp = np.abs(x) <= 2.0 * r_hat
-    h_loc = np.zeros(system.N)
-    h_loc[supp] = [
-        system.primitive(zp.position, zp.position + xi) for xi in x[supp]
-    ]
+    h_loc = _primitive_from(
+        system, zp.position, system.h[supp], zp.position + x[supp]
+    )
     vals = np.zeros(system.N, dtype=complex)
     vals[supp] = (
         (mu / np.pi) ** 0.25
         * rho(x[supp])
         / normalizer
-        * np.exp(-1j * nu * h_loc[supp] - 0.5 * mu * x[supp] ** 2)
+        * np.exp(-1j * nu * h_loc - 0.5 * mu * x[supp] ** 2)
     )
     zero = np.zeros(system.N, dtype=complex)
     return (vals, zero) if zp.index == 0 else (zero, vals)
@@ -901,13 +932,14 @@ def phi_psi_matrix(system, z, rho_radius=None):
     states, plus the per-zero asymptotic targets (pi/mu)^{k/2} (mu/pi)^{1/4}."""
     z = complex(z)
     mu = z.real
+    profile = _cutoff_profile(system, z, rho_radius)
     nzeros = len(system.zeros)
     mat = np.zeros((nzeros, nzeros), dtype=complex)
     sigma, u, v = system.spectrum(z)
     small = sigma**2 <= 1.0
     vs, us = v[:, small], u[:, small]
     for p in range(nzeros):
-        omega0, omega1 = cutoff_state(system, z, p, rho_radius)
+        omega0, omega1 = _cutoff_state(system, z, p, *profile)
         proj = (vs @ (vs.conj().T @ omega0), us @ (us.conj().T @ omega1))
         for q in range(nzeros):
             mat[q, p] = phi_map_circle(system, z, proj, q)
@@ -946,20 +978,61 @@ def torus_tensor(sys_a, sys_b, z) -> GradedMatrixComplex:
 
 
 def torus_function_weight(sys_a, sys_b):
-    """Per-degree diagonal weights of multiplication by h_a + h_b."""
+    """Per-degree diagonal weights of multiplication by h_a + h_b, as dense
+    matrices on the :func:`torus_tensor` degrees (a small-N test oracle)."""
     h = np.add.outer(sys_a.h, sys_b.h).ravel()
     return [np.diag(h), np.diag(np.concatenate([h, h])), np.diag(h)]
 
 
+def _torus_heat_traces(sys_a, sys_b, z, ts):
+    """Unsigned traces of (h_a + h_b) e^{-t Lap_k} off the kernel, per heat
+    time t (rows) and torus degree k = 0, 1, 2 (columns), from one SVD per
+    factor (Kunneth).
+
+    With d_a v_i = s_i u_i, every torus Laplacian is block diagonal with
+    eigenvalues s_i^2 + s'_j^2 and eigenvectors v (x) v' in degree 0,
+    u (x) v' and v (x) u' in degree 1, and u (x) u' in degree 2; the weight
+    diagonal on x (x) y is <h_a x, x> + <h_b y, y>.  The kernel threshold
+    is the dense one, KERNEL_TOL_FACTOR (1 + largest torus eigenvalue).
+    """
+    if not (sys_a.exact and sys_b.exact):
+        raise UnsupportedError("torus product requires exact factors")
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0):
+        raise DomainError("heat time t must be positive")
+    da, db = sys_a.zeta_data(z), sys_b.zeta_data(z)
+    lam_a, lam_b = da.sigma**2, db.sigma**2
+    lam = np.add.outer(lam_a, lam_b)
+    tol = KERNEL_TOL_FACTOR * (1.0 + lam_a.max() + lam_b.max())
+    heat = np.exp(-ts[:, None, None] * lam) * (lam >= tol)
+    rows, cols = heat.sum(axis=2), heat.sum(axis=1)  # sums over j, over i
+
+    def trace(x, y):  # sum_ij heat_ij (x_i + y_j)
+        return rows @ x + cols @ y
+
+    return np.stack(
+        [
+            trace(da.h0, db.h0),
+            trace(da.h1, db.h0) + trace(da.h0, db.h1),
+            trace(da.h1, db.h1),
+        ],
+        axis=1,
+    )
+
+
 def torus_zeta_exact(sys_a, sys_b, z, t_sequence=None, order=1):
     """Zeta invariant of the exact torus via the trace identity: minus the
-    t -> 0 limit of the supertrace of (h_a + h_b) e^{-t Lap} off the kernel."""
+    t -> 0 limit of the supertrace of (h_a + h_b) e^{-t Lap} off the kernel.
+
+    The supertrace is the alternating sum of the per-degree traces of
+    :func:`_torus_heat_traces`, so the cost is one SVD per factor and
+    O(N^2) per heat time; the Kronecker :func:`torus_tensor` is not built.
+    """
     ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence(
         t0=0.5, steps=8
     )
-    family = assemble_laplacians(torus_tensor(sys_a, sys_b, z))
-    weight = torus_function_weight(sys_a, sys_b)
-    samples = [-heat_supertrace(family, weight, t, "perp") for t in ts]
+    traces = _torus_heat_traces(sys_a, sys_b, complex(z), ts)
+    samples = [-complex(t0 - t1 + t2) for t0, t1, t2 in traces]
     extra = richardson_sqrt(ts, samples, order=order)
     return extra.value, extra
 

@@ -4,6 +4,8 @@ These deliberately avoid the library's own code paths: brute-force
 enumeration, quadrature, finite differences, and plain matrix ranks.
 """
 
+import warnings
+
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma
@@ -76,3 +78,68 @@ def arc_weight_quadrature(system, a, b):
 
     val, _ = integrate.quad(f, a, b, limit=400)
     return val
+
+
+def _tight_quad(f, a, b):
+    """Adaptive quadrature at the tightest tolerances double precision allows
+    (scipy warns that they cannot be certified; the value is still the
+    reference)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-15, limit=200)
+    return val
+
+
+def smooth_step_moment_quadrature():
+    """Integral of u S(u) over [0, 1] for the library's smooth step S."""
+    from wittenlab.smoothfn import smooth_step
+
+    return _tight_quad(lambda u: u * float(smooth_step(u)), 0.0, 1.0)
+
+
+def arc_shape_masses_quadrature(shape):
+    """(cap fade-out mass, plateau mass) of an arc shape between its caps."""
+    lo, hi = shape.a + shape.r, shape.b - shape.r
+    return (
+        _tight_quad(lambda x: float(shape._base_mid(x)), lo, hi),
+        _tight_quad(lambda x: float(shape._plateau(x)), lo, hi),
+    )
+
+
+def cell_integral_loop(system, z, omega1, p_idx):
+    """Integral over the unstable cell of an index-1 zero with one
+    ``system.primitive`` evaluation per grid point."""
+    from wittenlab.circle import TWO_PI, _cell_bounds
+
+    p = system.zeros[p_idx].position
+    t_prev, t_next = _cell_bounds(system, p_idx)
+    total = 0.0 + 0.0j
+    for shift in (-TWO_PI, 0.0, TWO_PI):
+        for j, theta in enumerate(system.theta):
+            t = theta + shift
+            if t_prev < t < t_next:
+                total += np.exp(complex(z) * system.primitive(p, t)) * omega1[j]
+    return total * (TWO_PI / system.N)
+
+
+def cutoff_state_loop(system, z, p_idx, rho_radius=None):
+    """Cutoff ground state of one zero with one ``system.primitive``
+    evaluation per grid point of its support."""
+    from wittenlab.model import cutoff_normalization, default_cutoff
+
+    mu, nu = complex(z).real, complex(z).imag
+    r_hat = rho_radius if rho_radius is not None else 0.5 * system.r
+    rho = default_cutoff(r_hat)
+    a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
+    normalizer = (mu / np.pi) ** 0.25 * a_mu
+    p = system.zeros[p_idx].position
+    vals = np.zeros(system.N, dtype=complex)
+    for j, theta in enumerate(system.theta):
+        x = (theta - p + np.pi) % (2.0 * np.pi) - np.pi
+        if abs(x) <= 2.0 * r_hat:
+            h_rel = system.primitive(p, p + x)
+            vals[j] = (
+                (mu / np.pi) ** 0.25 * float(rho(np.array([x]))[0]) / normalizer
+                * np.exp(-1j * nu * h_rel - 0.5 * mu * x * x)
+            )
+    return vals

@@ -9,8 +9,15 @@ from wittenlab.errors import (
     StateError,
     UnsupportedError,
 )
+from wittenlab.smoothfn import SMOOTH_STEP_MOMENT
 
-from oracles import arc_weight_quadrature
+from oracles import (
+    arc_shape_masses_quadrature,
+    arc_weight_quadrature,
+    cell_integral_loop,
+    cutoff_state_loop,
+    smooth_step_moment_quadrature,
+)
 
 
 # -- construction -------------------------------------------------------------
@@ -68,6 +75,51 @@ def test_arc_weights_reproduced_by_quadrature(tight2):
     w2 = arc_weight_quadrature(tight2, 2.2, 2 * np.pi)
     assert w1 == pytest.approx(-0.45, abs=1e-8)
     assert w2 == pytest.approx(2.2, abs=1e-8)
+
+
+def _arc_endpoints(system):
+    zs = system.zeros
+    m = len(zs)
+    for i in range(m):
+        wrap = 2 * np.pi if i == m - 1 else 0.0
+        yield zs[i].position, zs[(i + 1) % m].position + wrap
+
+
+_EXACT4_SPEC = [(0.0, 0.5, 1), (1.5, -0.45, 0), (np.pi, 0.4, 1), (4.7, -0.5, 0)]
+
+
+def test_primitive_over_each_arc_equals_prescribed_weight(tight2, exact4):
+    values = [v for _, v, _ in _EXACT4_SPEC]
+    cases = (
+        (tight2, [-0.45, 2.2]),
+        (exact4, [values[(i + 1) % 4] - values[i] for i in range(4)]),
+    )
+    for system, weights in cases:
+        for (a, b), w in zip(_arc_endpoints(system), weights):
+            assert abs(system.primitive(a, b) - w) <= 1e-14
+
+
+def test_arc_masses_match_quadrature(tight2, exact4):
+    ref = smooth_step_moment_quadrature()
+    assert abs(SMOOTH_STEP_MOMENT - ref) <= 1e-14 * ref
+    for system in (tight2, exact4):
+        for *_, shape in system._eta_fn.arcs:
+            fade, plateau = arc_shape_masses_quadrature(shape)
+            assert abs(shape.fade_mass - fade) <= 1e-14 * (1.0 + fade)
+            assert abs(shape.plateau_mass - plateau) <= 1e-14 * (1.0 + plateau)
+
+
+@pytest.mark.parametrize("N", [8, 64, 512])
+def test_grid_h_matches_series(N):
+    std = wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=N
+    )
+    systems = [std]
+    if N >= 64:  # an 8-point grid does not resolve the profile's zeros
+        systems.append(wl.CircleWittenSystem.from_profile(std.h, c=0.05, r=0.35))
+    for system in systems:
+        ref = np.real(circle._eval_series(system._anti_coeffs, system.theta))
+        assert np.max(np.abs(system.h - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_zero_location_from_profile(trig256):
@@ -310,6 +362,52 @@ def test_phi_offdiagonal_small(exact4):
     assert off.max() < 1e-4
 
 
+@pytest.mark.parametrize("name", ["exact2", "tight2"])
+def test_cell_integration_matches_pointwise_loop(name, request):
+    system = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    for z in (complex(10.0, 0.0), complex(16.0, 2.5)):
+        for p, zp in enumerate(system.zeros):
+            state = circle.cutoff_state(system, z, p)
+            ref = cutoff_state_loop(system, z, p)
+            assert np.max(np.abs(state[zp.index] - ref)) <= 1e-12 * (
+                1.0 + np.max(np.abs(ref))
+            )
+            assert not np.any(state[1 - zp.index])
+            if zp.index == 1:
+                omega1 = ref + 0.1 * rng.normal(size=system.N)
+                got = wl.phi_map_circle(system, z, (np.zeros(system.N), omega1), p)
+                want = cell_integral_loop(system, z, omega1, p)
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_phi_psi_matrix_normalizes_cutoff_once(exact4, monkeypatch):
+    calls = []
+    real = circle.cutoff_normalization
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "cutoff_normalization", counting)
+    circle.phi_psi_matrix(exact4, complex(16.0, 0.0))
+    assert len(calls) == 1
+
+
+def test_zeta_cache_is_bounded_fifo(monkeypatch):
+    assert circle._ZETA_CACHE_SIZE >= 6 * 129  # one delta_limit_report sweep
+    monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
+    system = wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8
+    )
+    zs = [complex(1.0, nu) for nu in range(8)]
+    for i, z in enumerate(zs):
+        data = system.zeta_data(z)
+        assert system.zeta_data(z) is data
+        assert len(system._zeta_cache) <= 3
+        assert list(system._zeta_cache) == zs[max(0, i - 2): i + 1]
+
+
 # -- torus -------------------------------------------------------------------------
 
 
@@ -356,6 +454,8 @@ def test_torus_requires_exact(tight2, torus_factors):
     sa, _ = torus_factors
     with pytest.raises(UnsupportedError):
         circle.torus_tensor(sa, tight2, 1.0)
+    with pytest.raises(UnsupportedError):
+        circle.torus_zeta_exact(sa, tight2, 1.0)
 
 
 # -- sweeps -----------------------------------------------------------------------

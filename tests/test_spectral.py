@@ -281,6 +281,50 @@ def test_torus_zeta_exact_matches_explicit_formula():
     assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
+def _per_degree_dense_traces(sa, sb, z, ts):
+    fam = eigendecompose(assemble_laplacians(circle.torus_tensor(sa, sb, z)))
+    weight = circle.torus_function_weight(sa, sb)
+    tol = fam.kernel_tolerance()
+    return [
+        [
+            spectral._graded_sum(
+                fam, [w if j == k else 0.0 for j, w in enumerate(weight)],
+                lambda w: w >= tol, lambda w: np.exp(-t * w), graded=False,
+            )
+            for k in range(3)
+        ]
+        for t in ts
+    ]
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_torus_heat_traces_match_dense_per_degree(N):
+    # two-zero factors with arcs of equal length are symmetric enough that
+    # the grid keeps their harmonic forms at z = 0.4 (torus Betti numbers
+    # (1, 2, 1), so the kernel cut is exercised), and that h1 = -h0 per
+    # factor cancels the degree-1 trace; the unequal-arc factor sb2 has no
+    # grid kernel and leaves all three degrees nonzero
+    def factor(p0, v0, p1, v1):
+        return wl.CircleWittenSystem.from_standard_zeros(
+            [(p0, v0, 1), (p1, v1, 0)], r=0.35, N=N
+        )
+
+    sa = factor(0.0, 0.3, np.pi, -0.3)
+    sb = factor(0.5, 0.25, 0.5 + np.pi, -0.25)
+    sb2 = factor(0.5, 0.25, 3.3, -0.35)
+    ts = (0.5, 0.125, 0.0078125)
+    for z in (complex(0.4, 0.0), complex(3.0, 0.0)):
+        got = circle._torus_heat_traces(sa, sb, z, ts)
+        for row, ref in zip(got, _per_degree_dense_traces(sa, sb, z, ts)):
+            for k in (0, 2):
+                assert abs(row[k] - ref[k]) <= 1e-10 * abs(ref[k])
+            assert abs(row[1] - ref[1]) <= 1e-10 * (abs(ref[0]) + abs(ref[2]))
+        got = circle._torus_heat_traces(sa, sb2, z, ts)
+        for row, ref in zip(got, _per_degree_dense_traces(sa, sb2, z, ts)):
+            for k in range(3):
+                assert abs(row[k] - ref[k]) <= 1e-10 * abs(ref[k])
+
+
 # -- guards: Frobenius numerators and lower-bound scales are never looser --------
 
 
