@@ -10,7 +10,8 @@ Subpackages by topic:
 - :mod:`wittenlab.circle`: pseudospectral circle systems, zeta invariants
   and their small/large split, the exact-form trace identity, descending-arc
   data, the one-dimensional transgression pullback, cell integration, and
-  separable tori.
+  the zeta invariant of an exact product torus from one SVD per factor
+  (the Kronecker product complex is a test oracle).
 - :mod:`wittenlab.morse`: perturbed Morse complexes on instanton graphs,
   rank recursions, tightness, leading parts, eigenvalue windows, limit
   invariants, and the prescription equation.
@@ -53,7 +54,6 @@ from .circle import (
     circle_graph,
     mathai_quillen_1d,
     phi_map_circle,
-    torus_tensor,
     spectral_gap_report,
     sobolev_constant_probe,
 )

@@ -14,13 +14,11 @@ matrix scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AmbiguousKernel,
     ConfigError,
     ConventionError,
     ConvergenceError,
@@ -35,7 +33,7 @@ from .extrapolate import default_t_sequence, oscillating, richardson_sqrt
 from .model import cutoff_normalization, default_cutoff
 from .morse import InstantonGraph
 from .smoothfn import SMOOTH_STEP_MOMENT, smooth_plateau, smooth_step
-from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex
+from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex, warn_ambiguous_kernel
 
 __all__ = [
     "CircleZero",
@@ -52,15 +50,12 @@ __all__ = [
     "phi_map_circle",
     "cutoff_state",
     "phi_psi_matrix",
-    "torus_tensor",
-    "torus_function_weight",
     "torus_zeta_exact",
     "spectral_gap_report",
     "sobolev_constant_probe",
 ]
 
 TWO_PI = 2.0 * np.pi
-_SIGMA_TOL_FACTOR = 1e-9
 _DENSE_MIN = 4096
 #: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, evicted
 #: oldest first: six 129-node pairings, a whole delta_limit_report sweep of
@@ -84,17 +79,21 @@ def grid(N):
     return TWO_PI * np.arange(N) / N
 
 
-def differentiation_matrix(N):
-    """Dense Fourier differentiation matrix (anti-Hermitian).
+def _wavenumbers(N):
+    """Lattice wavenumbers of the N-point grid.  The Nyquist mode gets +N/2
+    rather than 0: the symmetric convention would annihilate the alternating
+    grid vector and hand every deformed derivative a spurious second kernel
+    direction."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = N / 2.0
+    return k
 
-    The Nyquist mode is assigned wavenumber +N/2 rather than 0: the symmetric
-    convention would annihilate the alternating grid vector and hand every
-    deformed derivative a spurious second kernel direction.
-    """
+
+def differentiation_matrix(N):
+    """Dense Fourier differentiation matrix (anti-Hermitian)."""
     _check_grid_size(N)
     if N not in _diff_matrix_cache:
-        k = np.fft.fftfreq(N, d=1.0 / N)
-        k[N // 2] = N / 2.0
+        k = _wavenumbers(N)
         F = np.fft.fft(np.eye(N), axis=0)
         D = np.fft.ifft(1j * k[:, None] * F, axis=0)
         _diff_matrix_cache[N] = 0.5 * (D - D.conj().T)
@@ -360,18 +359,19 @@ class CircleWittenSystem:
         return sys
 
     @classmethod
-    def from_profile(cls, h_samples, c=0.0, N=None, r=None, label=""):
-        """Generic Morse profile given by samples; eta = h' + c with the
-        derivative taken spectrally.  Zeros are located numerically."""
+    def from_profile(cls, h_samples, c=0.0, r=None, label=""):
+        """Generic Morse profile sampled on the grid of the samples' length;
+        eta = h' + c, derivative taken spectrally, zeros located numerically."""
         h_samples = np.asarray(h_samples, dtype=float)
-        N = N or len(h_samples)
-        if h_samples.shape != (N,):
-            raise ConfigError("profile samples must match the grid size")
+        if h_samples.ndim != 1:
+            raise ConfigError("profile samples must be one-dimensional")
+        N = len(h_samples)
         eta = np.real(differentiation_matrix(N) @ h_samples) + c
         return cls(eta, N=N, c=c, r=r, label=label or "profile samples")
 
     @classmethod
-    def from_callable_profile(cls, h_fn, dh_fn, c=0.0, N=256, r=None, label=""):
+    def from_callable_profile(cls, dh_fn, c=0.0, N=256, r=None, label=""):
+        """Profile given by its derivative h'; eta = h' + c."""
         return cls(lambda t: dh_fn(t) + c, N=N, c=c, r=r, label=label or "callable")
 
     # -- basic geometry ------------------------------------------------------
@@ -482,7 +482,7 @@ class CircleWittenSystem:
         return s[order], u[:, order], vh.conj().T[:, order]
 
     def sigma_tolerance(self, sigma):
-        return _SIGMA_TOL_FACTOR * (1.0 + (sigma[-1] if len(sigma) else 0.0))
+        return KERNEL_TOL_FACTOR * (1.0 + (sigma[-1] if len(sigma) else 0.0))
 
     def zeta_data(self, z):
         """Cached small payload per parameter: singular values, the diagonal
@@ -554,23 +554,14 @@ def betti_novikov(system, z):
     long as double precision can represent them.
     """
     data = system.zeta_data(z)
-    sigma, tol = data.sigma, data.tol
-    near = np.count_nonzero((sigma >= tol / 10.0) & (sigma <= tol * 10.0))
-    if near:
-        warnings.warn(
-            f"{near} singular value(s) within 10x of the kernel threshold",
-            AmbiguousKernel,
-            stacklevel=2,
-        )
+    warn_ambiguous_kernel(data.sigma, data.tol)
     return (data.kernel_count, data.kernel_count)
 
 
 def rotation_reference_sum(N, z, c):
     """Sum of inverse eigenvalues of the uniform-rotation comparison operator
     (derivative plus z c), over the N lattice wavenumbers."""
-    k = np.fft.fftfreq(N, d=1.0 / N) * 1.0
-    k[N // 2] = N / 2.0
-    lam = 1j * k + complex(z) * c
+    lam = 1j * _wavenumbers(N) + complex(z) * c
     return -complex(np.sum(1.0 / lam))
 
 
@@ -608,7 +599,7 @@ class ZetaInvariantResult:
         return rows
 
 
-def zeta_invariant(system, z, t_sequence=None, order=1) -> ZetaInvariantResult:
+def zeta_invariant(system, z) -> ZetaInvariantResult:
     """Regularized supertrace of (eta wedge) d_z^{-1} P^1 in the vanishing
     heat-time limit, with the discretization bias of the raw eigen-sum
     removed.
@@ -625,11 +616,13 @@ def zeta_invariant(system, z, t_sequence=None, order=1) -> ZetaInvariantResult:
     measured and included.  Raw heat-trace samples on the t-sequence and a
     Richardson cross-check of the h-channel limit are returned as
     diagnostics; the small part is the exact finite sum over the small
-    nonzero spectrum.
+    nonzero spectrum.  A singular value within 10x of the kernel threshold
+    makes the value depend on rounding and warns ``AmbiguousKernel``.
     """
     z = complex(z)
-    ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence()
+    ts = default_t_sequence()
     data = system.zeta_data(z)
+    warn_ambiguous_kernel(data.sigma, data.tol)
     sigma, nz = data.sigma, data.nonzero
     small_count = int(np.count_nonzero(data.small))
     counts = system.counts
@@ -654,7 +647,7 @@ def zeta_invariant(system, z, t_sequence=None, order=1) -> ZetaInvariantResult:
     fluct = [
         -complex(np.sum(np.exp(-t * sigma[nz] ** 2) * hdiff)) for t in ts
     ]
-    extra = richardson_sqrt(ts, fluct, order=order)
+    extra = richardson_sqrt(ts, fluct)
     stable = not oscillating(extra)
     if not stable:
         raise ConvergenceError(
@@ -732,7 +725,7 @@ class CircleInstantonData:
         return self.index_cost
 
 
-def instanton_data_circle(system, tol=1e-9) -> CircleInstantonData:
+def instanton_data_circle(system) -> CircleInstantonData:
     """Descending arcs from each index-1 zero with signs and weights.
 
     Orientation convention: every unstable cell is oriented
@@ -746,10 +739,7 @@ def instanton_data_circle(system, tol=1e-9) -> CircleInstantonData:
     for i, zp in enumerate(zs):
         if zp.index != 1:
             continue
-        nxt = (i + 1) % m
-        prv = (i - 1) % m
-        t_next = zs[nxt].position + (TWO_PI if nxt < i else 0.0)
-        t_prev = zs[prv].position - (TWO_PI if prv > i else 0.0)
+        t_prev, t_next = _cell_bounds(system, i)
         w_next = system.primitive(zp.position, t_next)
         w_prev = -system.primitive(t_prev, zp.position)
         for w, which in ((w_next, "forward"), (w_prev, "backward")):
@@ -757,12 +747,12 @@ def instanton_data_circle(system, tol=1e-9) -> CircleInstantonData:
                 raise LyapunovError(
                     f"{which} arc from zero {i} has nonnegative integral {w}"
                 )
-        arcs.append(CircleArc(i, nxt, +1, w_next))
-        arcs.append(CircleArc(i, prv, -1, w_prev))
+        arcs.append(CircleArc(i, (i + 1) % m, +1, w_next))
+        arcs.append(CircleArc(i, (i - 1) % m, -1, w_prev))
         cost[i] = -max(w_next, w_prev)
     costs = list(cost.values())
     index_cost = min(costs)
-    tight = max(costs) - index_cost <= tol * (1.0 + abs(index_cost))
+    tight = max(costs) - index_cost <= 1e-9 * (1.0 + abs(index_cost))
     return CircleInstantonData(tuple(arcs), cost, index_cost, tight)
 
 
@@ -880,20 +870,20 @@ def _primitive_from(system, p, h_grid, t):
     return h_grid - system.h_at(p) + system.c * (t - p)
 
 
-def cutoff_state(system, z, p_idx, rho_radius=None):
+def cutoff_state(system, z, p_idx):
     """Unit-normalized cutoff ground state attached to one zero, as grid
     samples (omega0, omega1); lives in the degree equal to the zero's index.
 
     The normalizer is the exact continuum norm of the cut-off Gaussian, so
     the state frame is orthonormal up to exponentially small overlaps; the
     cell-integration asymptotics then carry the constant
-    (pi/mu)^{k/2} (mu/pi)^{1/4}.
+    (pi/mu)^{k/2} (mu/pi)^{1/4}.  The cutoff radius is half the cap radius.
     """
     z = complex(z)
-    return _cutoff_state(system, z, p_idx, *_cutoff_profile(system, z, rho_radius))
+    return _cutoff_state(system, z, p_idx, *_cutoff_profile(system, z))
 
 
-def _cutoff_profile(system, z, rho_radius):
+def _cutoff_profile(system, z):
     """(cutoff radius, cutoff function, normalizer) shared by the cutoff
     states of every zero at one parameter."""
     if system.r is None:
@@ -901,7 +891,7 @@ def _cutoff_profile(system, z, rho_radius):
     mu = z.real
     if mu <= 0:
         raise DomainError("cutoff states require mu > 0")
-    r_hat = rho_radius if rho_radius is not None else 0.5 * system.r
+    r_hat = 0.5 * system.r
     rho = default_cutoff(r_hat)
     a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
     # norm^2 of rho * (mu/pi)^{1/4} e^{-mu x^2/2} is (mu/pi)^{1/2} a_mu^2
@@ -927,12 +917,12 @@ def _cutoff_state(system, z, p_idx, r_hat, rho, normalizer):
     return (vals, zero) if zp.index == 0 else (zero, vals)
 
 
-def phi_psi_matrix(system, z, rho_radius=None):
+def phi_psi_matrix(system, z):
     """Matrix of the cell-integration map composed with the projected cutoff
     states, plus the per-zero asymptotic targets (pi/mu)^{k/2} (mu/pi)^{1/4}."""
     z = complex(z)
     mu = z.real
-    profile = _cutoff_profile(system, z, rho_radius)
+    profile = _cutoff_profile(system, z)
     nzeros = len(system.zeros)
     mat = np.zeros((nzeros, nzeros), dtype=complex)
     sigma, u, v = system.spectrum(z)
@@ -953,35 +943,6 @@ def phi_psi_matrix(system, z, rho_radius=None):
 
 
 # -- separable torus ---------------------------------------------------------
-
-
-def torus_tensor(sys_a, sys_b, z) -> GradedMatrixComplex:
-    """Product complex of two exact circle systems, degrees 0..2.
-
-    Degree sizes (N^2, 2 N^2, N^2) for equal grids; the graded sign rule
-    makes the square vanish identically.
-    """
-    if not (sys_a.exact and sys_b.exact):
-        raise UnsupportedError("torus product requires exact factors")
-    z = complex(z)
-    da = sys_a.differential(z)
-    db = sys_b.differential(z)
-    ia = np.eye(sys_a.N)
-    ib = np.eye(sys_b.N)
-    d0 = np.vstack([np.kron(da, ib), np.kron(ia, db)])
-    d1 = np.hstack([-np.kron(ia, db), np.kron(da, ib)])
-    return GradedMatrixComplex(
-        [d0, d1],
-        (sys_a.N * sys_b.N, 2 * sys_a.N * sys_b.N, sys_a.N * sys_b.N),
-        label=f"torus z={z}",
-    )
-
-
-def torus_function_weight(sys_a, sys_b):
-    """Per-degree diagonal weights of multiplication by h_a + h_b, as dense
-    matrices on the :func:`torus_tensor` degrees (a small-N test oracle)."""
-    h = np.add.outer(sys_a.h, sys_b.h).ravel()
-    return [np.diag(h), np.diag(np.concatenate([h, h])), np.diag(h)]
 
 
 def _torus_heat_traces(sys_a, sys_b, z, ts):
@@ -1020,20 +981,18 @@ def _torus_heat_traces(sys_a, sys_b, z, ts):
     )
 
 
-def torus_zeta_exact(sys_a, sys_b, z, t_sequence=None, order=1):
+def torus_zeta_exact(sys_a, sys_b, z):
     """Zeta invariant of the exact torus via the trace identity: minus the
     t -> 0 limit of the supertrace of (h_a + h_b) e^{-t Lap} off the kernel.
 
     The supertrace is the alternating sum of the per-degree traces of
     :func:`_torus_heat_traces`, so the cost is one SVD per factor and
-    O(N^2) per heat time; the Kronecker :func:`torus_tensor` is not built.
+    O(N^2) per heat time; the Kronecker product complex is never built.
     """
-    ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence(
-        t0=0.5, steps=8
-    )
+    ts = default_t_sequence(t0=0.5, steps=8)
     traces = _torus_heat_traces(sys_a, sys_b, complex(z), ts)
     samples = [-complex(t0 - t1 + t2) for t0, t1, t2 in traces]
-    extra = richardson_sqrt(ts, samples, order=order)
+    extra = richardson_sqrt(ts, samples)
     return extra.value, extra
 
 
@@ -1079,9 +1038,9 @@ def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
     )
 
 
-def sobolev_constant_probe(system, m, nu_sweep, trials=16, seed=0, band=None):
+def sobolev_constant_probe(system, m, nu_sweep, trials=16, seed=0):
     """Largest observed ratio sup-norm / graded Sobolev norm across random
-    band-limited forms, per oscillation value.
+    forms band-limited to |k| <= N/4, per oscillation value.
 
     The deformed Sobolev norm sums L^2 norms of repeated applications of the
     symmetric first-order operator at purely imaginary parameter; the probed
@@ -1092,7 +1051,7 @@ def sobolev_constant_probe(system, m, nu_sweep, trials=16, seed=0, band=None):
     m = int(m)
     N = system.N
     rng = np.random.default_rng(seed)
-    band = band or N // 4
+    band = N // 4
     out = {}
     weight = TWO_PI / N
     for nu in nu_sweep:

@@ -60,12 +60,19 @@ _INPUT_ERRORS = (
 _FALSIFIED_ERRORS = (NotAComplex, InvariantViolation)
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x]
+def _number_list(convert):
+    """argparse type: a non-empty comma-separated list of ``convert`` values."""
 
+    def parse(text):
+        try:
+            values = [convert(x) for x in text.split(",") if x]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
+        return values
 
-def _parse_ints(text):
-    return [int(x) for x in text.split(",") if x]
+    return parse
 
 
 def load_system(path, n_override=None):
@@ -93,15 +100,6 @@ def load_system(path, n_override=None):
         cos = [float(a) for a in cfg.get("cos", [])]
         sin = [float(b) for b in cfg.get("sin", [])]
 
-        def h(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for k, a in enumerate(cos, start=1):
-                out += a * np.cos(k * t)
-            for k, b in enumerate(sin, start=1):
-                out += b * np.sin(k * t)
-            return out
-
         def dh(t):
             t = np.asarray(t, dtype=float)
             out = np.zeros_like(t)
@@ -112,7 +110,7 @@ def load_system(path, n_override=None):
             return out
 
         return circle.CircleWittenSystem.from_callable_profile(
-            h, dh, c=float(cfg.get("c", 0.0)), N=N, label=path
+            dh, c=float(cfg.get("c", 0.0)), N=N, label=path
         )
     raise ConfigError(f"unknown system type {kind!r}")
 
@@ -175,7 +173,7 @@ def cmd_model_check(args):
 
 def cmd_circle_gap(args):
     system = load_system(args.config)
-    rep = circle.spectral_gap_report(system, _parse_floats(args.mu), args.nu)
+    rep = circle.spectral_gap_report(system, args.mu, args.nu)
     report = Report("circle gap")
     rows = []
     for mu, ms, ml, cnt in zip(
@@ -202,7 +200,7 @@ def cmd_circle_zeta(args):
     system = load_system(args.config)
     report = Report("circle zeta")
     rows = []
-    for mu in _parse_floats(args.mu):
+    for mu in args.mu:
         res = circle.zeta_invariant(system, complex(mu, args.nu))
         rows.extend(res.csv_rows())
         print(f"  mu={mu:g}: zeta1={res.value:.8f} sm={res.zeta_sm:.8f} "
@@ -225,7 +223,7 @@ def cmd_circle_identity(args):
     report = Report("circle identity")
     rows = []
     residuals = []
-    for n in _parse_ints(args.N):
+    for n in args.N:
         system = load_system(args.config, n_override=n)
         resid, lhs, rhs = circle.exact_identity_residual(
             system, complex(args.mu, args.nu), args.t
@@ -250,7 +248,7 @@ def cmd_circle_phi(args):
     report = Report("circle phi")
     rows = []
     diag_devs, off_maxima = [], []
-    for mu in _parse_floats(args.mu):
+    for mu in args.mu:
         mat, targets = circle.phi_psi_matrix(system, complex(mu, args.nu))
         ratios = np.abs(np.diag(mat)) / targets
         off = np.abs(mat - np.diag(np.diag(mat)))
@@ -302,7 +300,7 @@ def cmd_morse_analyze(args):
 
 def cmd_prescribe(args):
     graph = morse.InstantonGraph.load(args.graph, require_negative=False)
-    problem = presc.PrescriptionProblem(graph, _parse_floats(args.targets))
+    problem = presc.PrescriptionProblem(graph, args.targets)
     result = presc.prescribe(problem)
     cert = presc.verify_prescription(problem, result)
     consistent, bad = presc.potential_consistency(problem, result)
@@ -318,12 +316,10 @@ def cmd_prescribe(args):
             {"k": s.k, "b_min": s.b_min, "b": {str(v): b for v, b in s.b.items()}}
             for s in result.stages
         ]
-        payload = json.loads(cert.to_json(stages))
+        payload = cert.to_json(stages)
         payload["potential"] = {str(v): p for v, p in result.potential.items()}
         payload["shift_constant"] = result.c
-        with open(args.cert, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.cert, payload)
     if not cert.all_pass or not consistent:
         return EXIT_FALSIFIED
     return EXIT_PASS
@@ -331,7 +327,7 @@ def cmd_prescribe(args):
 
 def cmd_verify(args):
     graph = morse.InstantonGraph.load(args.graph, require_negative=False)
-    problem = presc.PrescriptionProblem(graph, _parse_floats(args.targets))
+    problem = presc.PrescriptionProblem(graph, args.targets)
     final = morse.InstantonGraph.load(args.result)
     with open(args.cert) as fh:
         payload = json.load(fh)
@@ -363,15 +359,13 @@ def cmd_zdist_pair(args):
     profile = morse.analyze_ranks(graph, complex(args.mu, 0.0))
     z_la = circle.mathai_quillen_1d(system).value
     target = morse.z_invariants(graph, profile.m1).small_limit + z_la
-    for mu in _parse_floats(str(args.mu)):
-        outer = zdist.pair_outer_first(system, mu, spec)
-        dev = abs(outer.value - target * spec.at_zero)
-        rows.append((mu, args.sigma, "outer", outer.value.real,
-                     outer.value.imag, dev))
-        print(f"  mu={mu:g}: outer={outer.value.real:.8f} "
-              f"target={target:.8f}")
-        report.check(f"deviation < 2% (mu={mu:g})",
-                     dev < 0.02 * abs(target), f"dev {dev:.4f}")
+    mu = args.mu
+    outer = zdist.pair_outer_first(system, mu, spec)
+    dev = abs(outer.value - target * spec.at_zero)
+    rows.append((mu, args.sigma, "outer", outer.value.real, outer.value.imag, dev))
+    print(f"  mu={mu:g}: outer={outer.value.real:.8f} target={target:.8f}")
+    report.check(f"deviation < 2% (mu={mu:g})",
+                 dev < 0.02 * abs(target), f"dev {dev:.4f}")
     header = ("mu", "sigma", "order", "value_re", "value_im", "deviation")
     return _emit(report, rows, header, args.out)
 
@@ -405,19 +399,19 @@ def build_parser():
     csub = pc.add_subparsers(dest="subcommand", required=True)
     cg = csub.add_parser("gap")
     cg.add_argument("--config", required=True)
-    cg.add_argument("--mu", required=True)
+    cg.add_argument("--mu", type=_number_list(float), required=True)
     cg.add_argument("--nu", type=float, default=0.0)
     cg.add_argument("--out")
     cg.set_defaults(func=cmd_circle_gap)
     cz = csub.add_parser("zeta")
     cz.add_argument("--config", required=True)
-    cz.add_argument("--mu", required=True)
+    cz.add_argument("--mu", type=_number_list(float), required=True)
     cz.add_argument("--nu", type=float, default=0.0)
     cz.add_argument("--out")
     cz.set_defaults(func=cmd_circle_zeta)
     ci = csub.add_parser("identity")
     ci.add_argument("--config", required=True)
-    ci.add_argument("--N", required=True)
+    ci.add_argument("--N", type=_number_list(int), required=True)
     ci.add_argument("--mu", type=float, default=10.0)
     ci.add_argument("--nu", type=float, default=0.0)
     ci.add_argument("--t", type=float, default=0.1)
@@ -425,7 +419,7 @@ def build_parser():
     ci.set_defaults(func=cmd_circle_identity)
     cp = csub.add_parser("phi")
     cp.add_argument("--config", required=True)
-    cp.add_argument("--mu", required=True)
+    cp.add_argument("--mu", type=_number_list(float), required=True)
     cp.add_argument("--nu", type=float, default=0.0)
     cp.add_argument("--out")
     cp.set_defaults(func=cmd_circle_phi)
@@ -441,14 +435,14 @@ def build_parser():
 
     pp = sub.add_parser("prescribe", help="reweight to per-index targets")
     pp.add_argument("--graph", required=True)
-    pp.add_argument("--targets", required=True)
+    pp.add_argument("--targets", type=_number_list(float), required=True)
     pp.add_argument("--out")
     pp.add_argument("--cert")
     pp.set_defaults(func=cmd_prescribe)
 
     pv = sub.add_parser("verify", help="verify a claimed reweighting")
     pv.add_argument("--graph", required=True)
-    pv.add_argument("--targets", required=True)
+    pv.add_argument("--targets", type=_number_list(float), required=True)
     pv.add_argument("--result", required=True)
     pv.add_argument("--cert", required=True)
     pv.set_defaults(func=cmd_verify)

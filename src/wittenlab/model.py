@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUANTA = 6
+_FD_COUNT = 10  # lowest eigenvalues compared by numeric_model_check
+_FD_REL_TOL = 1e-4  # largest two-grid drift numeric_model_check accepts
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,7 @@ def _fd_spectrum(mu, eps_term, L, m, count):
     return vals
 
 
-def numeric_model_check(
-    spec, mu, degree, grid_points=3000, count=10, rel_tol=1e-4
-):
+def numeric_model_check(spec, mu, degree, grid_points=3000):
     """Compare the finite-difference model spectrum with the closed form.
 
     n = 1 only.  The interval half-width follows the Gaussian decay bound
@@ -232,13 +232,11 @@ def numeric_model_check(
     # [dx interior, dx wedge] is -1 on functions, +1 on one-forms.
     commutator = -1.0 if degree == 0 else 1.0
     eps_term = mu * spec.signs[0] * commutator
-    numeric = _fd_spectrum(mu, eps_term, L, grid_points, count)
-    coarse = _fd_spectrum(mu, eps_term, L, grid_points // 2, count)
+    numeric = _fd_spectrum(mu, eps_term, L, grid_points, _FD_COUNT)
+    coarse = _fd_spectrum(mu, eps_term, L, grid_points // 2, _FD_COUNT)
     formula = [
-        e.value for e in model_spectrum(spec, degree, mu, max_quanta=count + 2)
-    ][:count]
-    if len(formula) < count:
-        raise DomainError("max_quanta too small for requested eigenvalue count")
+        e.value for e in model_spectrum(spec, degree, mu, max_quanta=_FD_COUNT + 2)
+    ][:_FD_COUNT]
     scale = mu
     # second-order stencil: the two-grid drift is about 3x the fine-grid error
     resolution = float(
@@ -258,8 +256,9 @@ def numeric_model_check(
         rel_errors=rel,
         resolution_estimate=resolution,
     )
-    if resolution > rel_tol:
+    if resolution > _FD_REL_TOL:
         raise NumericalError(
-            f"grid unresolved: two-grid drift {resolution:.2e} exceeds {rel_tol:.0e}"
+            f"grid unresolved: two-grid drift {resolution:.2e} exceeds "
+            f"{_FD_REL_TOL:.0e}"
         )
     return report

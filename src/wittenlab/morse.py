@@ -28,7 +28,7 @@ from .errors import (
     StateError,
     StructureError,
 )
-from .spectral import GradedMatrixComplex
+from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex
 
 __all__ = [
     "InstantonGraph",
@@ -50,7 +50,6 @@ __all__ = [
     "graph_tensor",
 ]
 
-_RANK_TOL_FACTOR = 1e-9
 _WEIGHT_EQ_TOL = 1e-9
 _PROJ_TOL = 1e-10
 
@@ -286,7 +285,7 @@ def _svd_rank(mat, return_basis=False):
             )
         return 0
     u, s, vh = np.linalg.svd(mat)
-    tol = _RANK_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
+    tol = KERNEL_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
     r = int(np.count_nonzero(s > tol))
     if return_basis:
         return r, u[:, :r], vh[:r].conj().T
@@ -371,7 +370,7 @@ class TightnessReport:
         return self.index_costs
 
 
-def tightness_check(graph, tol=_WEIGHT_EQ_TOL) -> TightnessReport:
+def tightness_check(graph) -> TightnessReport:
     """Per-vertex escape costs and whether they only depend on the index."""
     vertex_cost = {}
     for v in graph.vertices:
@@ -389,7 +388,7 @@ def tightness_check(graph, tol=_WEIGHT_EQ_TOL) -> TightnessReport:
             raise StructureError(f"no vertices of index {k}")
         mk = min(costs)
         index_costs.append(mk)
-        if max(costs) - mk > tol * (1.0 + abs(mk)):
+        if max(costs) - mk > _WEIGHT_EQ_TOL * (1.0 + abs(mk)):
             tight = False
     return TightnessReport(vertex_cost, tuple(index_costs), tight)
 
@@ -406,7 +405,7 @@ class LeadingComplex:
         return self.matrices[k]
 
 
-def leading_complex(graph, tol=_WEIGHT_EQ_TOL) -> LeadingComplex:
+def leading_complex(graph) -> LeadingComplex:
     """Extract the leading differential of a tight graph and verify it squares
     to zero; dropped edges are exactly those with weight below -a_k."""
     report = tightness_check(graph)
@@ -421,7 +420,7 @@ def leading_complex(graph, tol=_WEIGHT_EQ_TOL) -> LeadingComplex:
                 graph,
                 k,
                 lambda e, ak=ak: e.sign
-                if abs(e.weight + ak) <= tol * (1.0 + ak)
+                if abs(e.weight + ak) <= _WEIGHT_EQ_TOL * (1.0 + ak)
                 else 0.0,
             )
         )
@@ -439,8 +438,8 @@ def shifted_differential(graph, z, k, a_k):
     return _edge_matrix(graph, k, lambda e: e.sign * np.exp(z * (e.weight + a_k)))
 
 
-def leading_decay_fit(graph, mu_values, nu=0.0):
-    """Fit log || exp(a_k z) d_z - d' || versus mu per degree.
+def leading_decay_fit(graph, mu_values):
+    """Fit log || exp(a_k mu) d_mu - d' || versus real mu per degree.
 
     Returns per-degree (slope, residual norms); the slope approaches the gap
     between a_k and the largest subleading weight magnitude.
@@ -450,7 +449,7 @@ def leading_decay_fit(graph, mu_values, nu=0.0):
     for k in range(graph.n):
         norms = []
         for mu in mu_values:
-            diff = shifted_differential(graph, complex(mu, nu), k, lead.a[k])
+            diff = shifted_differential(graph, complex(mu, 0.0), k, lead.a[k])
             norms.append(np.linalg.norm(diff - lead.matrices[k], 2))
         norms = np.asarray(norms)
         if np.all(norms < 1e-300):
@@ -478,22 +477,21 @@ def small_spectrum_window(graph, z):
             out.append(np.zeros(0))
             continue
         s = np.linalg.svd(shifted, compute_uv=False)
-        tol = _RANK_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
+        tol = KERNEL_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
         out.append(np.sort(s[s > tol]) ** 2)
     return out
 
 
 @dataclass(frozen=True)
 class ZetaLimits:
-    """Small-spectrum limit of the zeta invariant and its variants."""
+    """Small-spectrum limit of the zeta invariant and its reversed form."""
 
     small_limit: float  # -sum_k (-1)^k a_k m1_k, the limit of the eta-wedge insertion
     reversed_limit: float  # sum_k (-1)^k a_{n+1-k} m1_k, the mu -> -infinity counterpart
-    oriented_even_variant: float  # sum_k (-1)^k e^{a_k} m1_k
 
 
-def z_invariants(graph_or_a, m1=None) -> ZetaLimits:
-    """Evaluate the three closed forms of the small limit.
+def z_invariants(graph_or_a, m1) -> ZetaLimits:
+    """Evaluate the two closed forms of the small limit.
 
     The zeta invariant inserts d/dz d_z = eta wedge.  By Hellmann-Feynman
     each small singular value then contributes -d/dmu log sigma_j, whose
@@ -513,16 +511,13 @@ def z_invariants(graph_or_a, m1=None) -> ZetaLimits:
         a = report.index_costs
     else:
         a = tuple(float(x) for x in graph_or_a)
-    if m1 is None:
-        raise StateError("m1 ranks are required")
     m1 = tuple(int(x) for x in m1)
     n = len(a)
     if len(m1) != n + 1:
         raise StateError(f"expected m1_0..m1_{n}, got {len(m1)} entries")
     small = -sum((-1) ** k * a[k - 1] * m1[k] for k in range(1, n + 1))
     rev = sum((-1) ** k * a[n - k] * m1[k] for k in range(1, n + 1))
-    oriented = sum((-1) ** k * np.exp(a[k - 1]) * m1[k] for k in range(1, n + 1))
-    return ZetaLimits(float(small), float(rev), float(oriented))
+    return ZetaLimits(float(small), float(rev))
 
 
 def projection_law_check(graph, mu_values, nu=0.0):
@@ -586,7 +581,7 @@ def prescribe_increment(n, a, m1_1, m1_n, x0, xn, c0, cn):
     return c0 * m1_1 - sgn * cn * m1_n + c0 * x0 - sgn * cn * xn
 
 
-def prescribe_tau(n, a, m1_1, m1_n, x0, xn, z_baseline, tau, residual_tol=1e-10):
+def prescribe_tau(n, a, m1_1, m1_n, x0, xn, z_baseline, tau):
     """Solve for (c0, cn) >= 0 with baseline + increment(c0, cn) = tau.
 
     For even n every target is reachable; for odd n the baseline is a floor
@@ -628,7 +623,7 @@ def prescribe_tau(n, a, m1_1, m1_n, x0, xn, z_baseline, tau, residual_tol=1e-10)
     c = 0.5 * (lo + hi)
     c0, cn = (c, 0.0) if free == "c0" else (0.0, c)
     check = z_baseline + prescribe_increment(n, a, m1_1, m1_n, x0, xn, c0, cn)
-    if abs(check - tau) > residual_tol * (1.0 + abs(tau)):
+    if abs(check - tau) > 1e-10 * (1.0 + abs(tau)):
         raise InfeasibleError(f"prescription residual {abs(check - tau):.3e}")
     return c0, cn
 

@@ -35,9 +35,11 @@ __all__ = [
     "heat_supertrace",
     "zeta_via_spectrum",
     "betti_numbers",
+    "warn_ambiguous_kernel",
 ]
 
-#: Relative scale for treating an eigenvalue as zero; see also kernel_tolerance.
+#: Relative scale for treating an eigenvalue or a singular value as zero, in
+#: every kernel threshold and rank of the package; see also kernel_tolerance.
 KERNEL_TOL_FACTOR = 1e-9
 
 #: Default relative tolerance factor for d^2 residuals of discretized sources.
@@ -156,16 +158,6 @@ class GradedMatrixComplex:
             return np.zeros((0, self.degrees[-1]), dtype=complex)
         raise ShapeError(f"degree {k} outside range 0..{self.top_degree - 1}")
 
-    def unitary_conjugate(self, unitaries) -> "GradedMatrixComplex":
-        """Change basis degreewise: d_k -> U_{k+1} d_k U_k^dagger."""
-        if len(unitaries) != len(self.degrees):
-            raise ShapeError("one unitary per degree required")
-        new = [
-            unitaries[k + 1] @ d @ unitaries[k].conj().T
-            for k, d in enumerate(self.differentials)
-        ]
-        return GradedMatrixComplex(new, self.degrees, self.label, self.exact)
-
 
 class GradedLaplacianFamily:
     """Hermitian Laplacians D_k = d_k^* d_k + d_{k-1} d_{k-1}^* per degree.
@@ -189,11 +181,6 @@ class GradedLaplacianFamily:
                 1.0 + _norm2_lower_bound(m)
             ):
                 raise ShapeError(f"Laplacian {k} is not Hermitian")
-
-    @classmethod
-    def from_matrices(cls, matrices) -> "GradedLaplacianFamily":
-        """Wrap explicitly given Hermitian PSD matrices (one per degree)."""
-        return cls(matrices)
 
     @property
     def degrees(self):
@@ -302,6 +289,19 @@ def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:
     return family
 
 
+def warn_ambiguous_kernel(values, tol):
+    """Warn AmbiguousKernel, at the caller's caller, when any of the
+    eigenvalues or singular values lies within 10x of the kernel threshold
+    ``tol`` on either side: the kernel count then depends on rounding."""
+    near = np.count_nonzero((values >= tol / 10.0) & (values <= tol * 10.0))
+    if near:
+        warnings.warn(
+            f"{near} value(s) within 10x of the kernel threshold {tol:.3e}",
+            AmbiguousKernel,
+            stacklevel=3,
+        )
+
+
 def betti_numbers(family: GradedLaplacianFamily, warn_ambiguous=True):
     """Numeric kernel dimensions per degree, under the scale-aware threshold."""
     family.require_spectra()
@@ -309,15 +309,8 @@ def betti_numbers(family: GradedLaplacianFamily, warn_ambiguous=True):
     counts = []
     for w in family.eigenvalues:
         counts.append(int(np.count_nonzero(w < tol)))
-        if warn_ambiguous and w.size:
-            near = np.count_nonzero((w >= tol / 10.0) & (w <= tol * 10.0))
-            if near:
-                warnings.warn(
-                    f"{near} eigenvalue(s) within 10x of the kernel threshold "
-                    f"{tol:.3e}",
-                    AmbiguousKernel,
-                    stacklevel=2,
-                )
+        if warn_ambiguous:
+            warn_ambiguous_kernel(w, tol)
     return tuple(counts)
 
 

@@ -16,7 +16,6 @@ constant a_k - min_p b_p, which keeps all later stages feasible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -130,7 +129,7 @@ class PrescriptionResult:
     stages: tuple
 
 
-def prescribe_stages(graph: InstantonGraph, targets, strict=True):
+def prescribe_stages(graph: InstantonGraph, targets):
     """Run the staged potential updates on an all-negative graph.
 
     Returns (potential, final graph, stage traces).  At stage k every
@@ -166,13 +165,12 @@ def prescribe_stages(graph: InstantonGraph, targets, strict=True):
         stages.append(StageTrace(k, b, b_min))
         # after stage k every settled level sits exactly at its target and
         # edges from level k+1 stay above -a_k, keeping later stages feasible
-        if strict:
-            for v in graph.by_degree[k]:
-                outs = [current[i] for i, e in enumerate(graph.edges) if e.p == v]
-                if abs(-max(outs) - a_k) > _EQ_TOL * (1.0 + a_k):
-                    raise InvariantViolation(
-                        f"stage {k} failed to set the level at {v!r}", stage=k
-                    )
+        for v in graph.by_degree[k]:
+            outs = [current[i] for i, e in enumerate(graph.edges) if e.p == v]
+            if abs(-max(outs) - a_k) > _EQ_TOL * (1.0 + a_k):
+                raise InvariantViolation(
+                    f"stage {k} failed to set the level at {v!r}", stage=k
+                )
     final = graph.reweighted(current)
     return phi, final, tuple(stages)
 
@@ -228,6 +226,7 @@ class CertificateReport:
         return self.exactness and self.negativity and self.costs_ok
 
     def to_json(self, stages=None):
+        """JSON-ready dict of the certificate, plus ``stages`` if given."""
         payload = {
             "exactness": self.exactness,
             "negativity": self.negativity,
@@ -238,7 +237,7 @@ class CertificateReport:
             payload["counterexample"] = str(self.counterexample)
         if stages is not None:
             payload["stages"] = stages
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
 
 
 def verify_prescription(problem: PrescriptionProblem,
@@ -289,7 +288,7 @@ def verify_prescription(problem: PrescriptionProblem,
                              counterexample)
 
 
-def potential_consistency(problem, result, tol=1e-12):
+def potential_consistency(problem, result):
     """Independent exactness check: the shifted weight change must be a
     coboundary, i.e. consistent along a spanning tree and over every extra
     edge (equivalently, all cycle sums vanish)."""
@@ -315,25 +314,25 @@ def potential_consistency(problem, result, tol=1e-12):
                     psi[p] = psi[x] - d
                     frontier.append(p)
     for (p, q), d in delta.items():
-        if abs((psi[q] - psi[p]) - d) > tol * (1.0 + abs(d)):
+        if abs((psi[q] - psi[p]) - d) > _EXACT_TOL * (1.0 + abs(d)):
             return False, (p, q)
     return True, None
 
 
-def random_feasible_problem(rng, max_n=5, max_vertices=40):
-    """Seeded generator of raw problems: layered graph with every positive
-    index vertex wired downward, raw weights of both signs, and targets that
-    are guaranteed feasible.
+def random_feasible_problem(rng):
+    """Seeded generator of raw problems: layered graph of top index 1..5 and
+    at most 40 vertices with every positive index vertex wired downward, raw
+    weights of both signs, and targets that are guaranteed feasible.
 
     Stage measurements never exceed M_k <= 2^{k-1} (A + C) regardless of the
     targets (the per-stage drift is bounded by the previous measurement
     range), so targets growing geometrically above that bound keep every
     stage strictly below its target.
     """
-    n = int(rng.integers(1, max_n + 1))
+    n = int(rng.integers(1, 6))
     counts = [int(rng.integers(1, 4)) for _ in range(n + 1)]
     total = sum(counts)
-    while total > max_vertices:
+    while total > 40:
         counts[int(rng.integers(0, n + 1))] -= 1
         counts = [max(1, c) for c in counts]
         total = sum(counts)

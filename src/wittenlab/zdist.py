@@ -94,18 +94,14 @@ class PairingResult:
     tail_bound: float
     node_count: int
 
-    @property
-    def real(self):
-        return self.value.real
 
-
-def _pair(system, mu, spec, t_sequence, order) -> PairingResult:
+def _pair(system, mu, spec, order) -> PairingResult:
     """Gauss-Legendre frequency quadrature of the zeta invariant."""
     specs = _components(spec)
     nodes, weights, radius = _nodes(specs)
     total = 0.0 + 0.0j
     for nu, w in zip(nodes, weights):
-        res = zeta_invariant(system, complex(mu, nu), t_sequence=t_sequence)
+        res = zeta_invariant(system, complex(mu, nu))
         fhat = sum(s.hat(nu) for s in specs)
         total += w * fhat * res.value
     tail = sum(s.tail_bound(radius) for s in specs)
@@ -119,19 +115,19 @@ def _pair(system, mu, spec, t_sequence, order) -> PairingResult:
     )
 
 
-def pair_inner_first(system, mu, spec, t_sequence=None) -> PairingResult:
+def pair_inner_first(system, mu, spec) -> PairingResult:
     """Heat-time integral innermost, frequency quadrature outermost.
 
     Per eigenpair the heat-time integral telescopes to the regularized
     trace, so each node carries the zeta invariant and the value coincides
     with :func:`pair_outer_first` by construction."""
-    return _pair(system, mu, spec, t_sequence, "inner")
+    return _pair(system, mu, spec, "inner")
 
 
-def pair_outer_first(system, mu, spec, t_sequence=None) -> PairingResult:
+def pair_outer_first(system, mu, spec) -> PairingResult:
     """Heat-time limit first (zeta invariant per frequency node), then the
     frequency quadrature."""
-    return _pair(system, mu, spec, t_sequence, "outer")
+    return _pair(system, mu, spec, "outer")
 
 
 @dataclass(frozen=True)

@@ -122,13 +122,13 @@ def cell_integral_loop(system, z, omega1, p_idx):
     return total * (TWO_PI / system.N)
 
 
-def cutoff_state_loop(system, z, p_idx, rho_radius=None):
+def cutoff_state_loop(system, z, p_idx):
     """Cutoff ground state of one zero with one ``system.primitive``
     evaluation per grid point of its support."""
     from wittenlab.model import cutoff_normalization, default_cutoff
 
     mu, nu = complex(z).real, complex(z).imag
-    r_hat = rho_radius if rho_radius is not None else 0.5 * system.r
+    r_hat = 0.5 * system.r
     rho = default_cutoff(r_hat)
     a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
     normalizer = (mu / np.pi) ** 0.25 * a_mu
@@ -143,3 +143,27 @@ def cutoff_state_loop(system, z, p_idx, rho_radius=None):
                 * np.exp(-1j * nu * h_rel - 0.5 * mu * x * x)
             )
     return vals
+
+
+def torus_tensor(sys_a, sys_b, z):
+    """Kronecker product complex of two circle systems, degrees 0..2, of
+    sizes (N^2, 2 N^2, N^2) for equal grids; the graded sign rule makes the
+    square vanish identically."""
+    from wittenlab.spectral import GradedMatrixComplex
+
+    z = complex(z)
+    da = sys_a.differential(z)
+    db = sys_b.differential(z)
+    ia = np.eye(sys_a.N)
+    ib = np.eye(sys_b.N)
+    d0 = np.vstack([np.kron(da, ib), np.kron(ia, db)])
+    d1 = np.hstack([-np.kron(ia, db), np.kron(da, ib)])
+    n = sys_a.N * sys_b.N
+    return GradedMatrixComplex([d0, d1], (n, 2 * n, n), label=f"torus z={z}")
+
+
+def torus_function_weight(sys_a, sys_b):
+    """Per-degree multiplication by h_a + h_b as dense diagonal matrices on
+    the :func:`torus_tensor` degrees."""
+    h = np.add.outer(sys_a.h, sys_b.h).ravel()
+    return [np.diag(h), np.diag(np.concatenate([h, h])), np.diag(h)]

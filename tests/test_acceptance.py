@@ -20,6 +20,8 @@ import wittenlab as wl
 from wittenlab import circle, model, morse, zdist
 from wittenlab import weight_prescription as wp
 
+import oracles
+
 REPORT = []
 _REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 
@@ -299,7 +301,7 @@ def test_criterion_08_rank_machinery(
         [(0.5, 0.25, 1), (0.5 + np.pi, -0.25, 0)], r=0.35, N=16
     )
     families.append(
-        wl.eigendecompose(wl.assemble_laplacians(circle.torus_tensor(sa, sb, 3.0)))
+        wl.eigendecompose(wl.assemble_laplacians(oracles.torus_tensor(sa, sb, 3.0)))
     )
     for fam in families:
         betti = wl.betti_numbers(fam, warn_ambiguous=False)

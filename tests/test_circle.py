@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import wittenlab as wl
 from wittenlab import circle
 from wittenlab.errors import (
+    AmbiguousKernel,
     ConfigError,
     GeometryError,
     StateError,
@@ -11,6 +14,7 @@ from wittenlab.errors import (
 )
 from wittenlab.smoothfn import SMOOTH_STEP_MOMENT
 
+import oracles
 from oracles import (
     arc_shape_masses_quadrature,
     arc_weight_quadrature,
@@ -246,6 +250,39 @@ def test_zeta_raw_samples_and_csv(tight2):
     assert len(rows[0]) == 9
 
 
+@pytest.fixture(scope="module")
+def shifted_c01():
+    return wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=128, c=0.1
+    )
+
+
+# sigma_small / tol is 29 at mu = 8, 1.09 at mu = 10 and 0.038 at mu = 12
+@pytest.mark.parametrize("mu, ambiguous", [(8.0, False), (10.0, True), (12.0, False)])
+def test_zeta_warns_on_ambiguous_kernel(shifted_c01, mu, ambiguous):
+    z = complex(mu, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wl.zeta_invariant(shifted_c01, z)
+        wl.betti_novikov(shifted_c01, z)
+    flagged = [w for w in caught if issubclass(w.category, AmbiguousKernel)]
+    assert len(flagged) == (2 if ambiguous else 0)
+    assert all(w.filename == __file__ for w in flagged)
+
+
+# The lattice breaks the continuum identity on non-exact systems: the Nyquist
+# wavenumber +N/2 makes the differentiation matrix complex (max |Im D| = 1/2),
+# which leaves a 4.9e-5 relative error on tight2 at N = 256.
+@pytest.mark.parametrize("name, bound", [("exact2", 1e-12), ("tight2", 1e-4)])
+def test_zeta_conjugation_symmetry(name, bound, request):
+    system = request.getfixturevalue(name)
+    for mu in (10.0, 30.0):
+        for nu in (0.5, 4.0, 12.0):
+            up = wl.zeta_invariant(system, complex(mu, nu)).value
+            down = wl.zeta_invariant(system, complex(mu, -nu)).value
+            assert abs(down - up.conjugate()) <= bound * abs(up)
+
+
 # -- exact trace identity -------------------------------------------------------
 
 
@@ -425,7 +462,7 @@ def torus_factors():
 def test_torus_separability(torus_factors):
     sa, sb = torus_factors
     z = complex(3.0, 0.0)
-    cx = circle.torus_tensor(sa, sb, z)
+    cx = oracles.torus_tensor(sa, sb, z)
     fam = wl.eigendecompose(wl.assemble_laplacians(cx))
     la = np.sort(sa.zeta_data(z).sigma ** 2)
     lb = np.sort(sb.zeta_data(z).sigma ** 2)
@@ -436,7 +473,7 @@ def test_torus_separability(torus_factors):
 
 def test_torus_kunneth_betti(torus_factors):
     sa, sb = torus_factors
-    cx = circle.torus_tensor(sa, sb, 0.4)
+    cx = oracles.torus_tensor(sa, sb, 0.4)
     fam = wl.eigendecompose(wl.assemble_laplacians(cx))
     assert wl.betti_numbers(fam, warn_ambiguous=False) == (1, 2, 1)
 
@@ -452,8 +489,6 @@ def test_torus_zeta_tends_to_zero(torus_factors):
 
 def test_torus_requires_exact(tight2, torus_factors):
     sa, _ = torus_factors
-    with pytest.raises(UnsupportedError):
-        circle.torus_tensor(sa, tight2, 1.0)
     with pytest.raises(UnsupportedError):
         circle.torus_zeta_exact(sa, tight2, 1.0)
 

@@ -46,6 +46,24 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("circle", "identity", "--config", "two_zero_exact.json", "--N", ","),
+        ("circle", "identity", "--config", "two_zero_exact.json", "--N", "64,abc"),
+        ("circle", "gap", "--config", "tight.json", "--mu", ","),
+        ("circle", "zeta", "--config", "two_zero_exact.json", "--mu", "x"),
+        ("prescribe", "--graph", "raw.graph", "--targets", ","),
+    ],
+)
+def test_malformed_list_argument_exits_2(argv, capsys):
+    argv = [str(DATA / a) if a.endswith((".json", ".graph")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "list" in capsys.readouterr().err
+
+
 def test_circle_zeta(tmp_path, capsys):
     out = tmp_path / "zeta.csv"
     code = run(

@@ -253,7 +253,6 @@ def test_z_invariants_oriented_even_all_equal():
     lim = morse.z_invariants([1.0, 1.0], (0, 2, 2))
     assert lim.small_limit == pytest.approx(-(-1.0 * 2 + 1.0 * 2))
     assert lim.small_limit == pytest.approx(0.0)
-    assert lim.oriented_even_variant == pytest.approx(0.0)
 
 
 def test_z_invariants_reversed_costs():
