@@ -43,9 +43,9 @@ def main():
               " rate", round(rates[k], 3))
 
     print("\nprescription equation (even top index, boundary strengths):")
-    c0, cn = morse.prescribe_tau(2, 1.0, 1, 1, 2, 1, z_baseline=0.0, tau=5.0)
+    c0, cn = morse.prescribe_tau(2, 1, 1, 2, 1, z_baseline=0.0, tau=5.0)
     print(f"  tau=+5 -> c0={c0:.6f}, cn={cn:.6f}")
-    c0, cn = morse.prescribe_tau(2, 1.0, 1, 1, 2, 1, z_baseline=0.0, tau=-3.0)
+    c0, cn = morse.prescribe_tau(2, 1, 1, 2, 1, z_baseline=0.0, tau=-3.0)
     print(f"  tau=-3 -> c0={c0:.6f}, cn={cn:.6f}")
 
 

@@ -33,7 +33,7 @@ from .extrapolate import default_t_sequence, oscillating, richardson_sqrt
 from .model import cutoff_normalization, default_cutoff
 from .morse import InstantonGraph
 from .smoothfn import SMOOTH_STEP_MOMENT, smooth_plateau, smooth_step
-from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex, warn_ambiguous_kernel
+from .spectral import GradedMatrixComplex, kernel_threshold, warn_ambiguous_kernel
 
 __all__ = [
     "CircleZero",
@@ -482,7 +482,7 @@ class CircleWittenSystem:
         return s[order], u[:, order], vh.conj().T[:, order]
 
     def sigma_tolerance(self, sigma):
-        return KERNEL_TOL_FACTOR * (1.0 + (sigma[-1] if len(sigma) else 0.0))
+        return kernel_threshold(sigma[-1] if len(sigma) else 0.0)
 
     def zeta_data(self, z):
         """Cached small payload per parameter: singular values, the diagonal
@@ -954,7 +954,7 @@ def _torus_heat_traces(sys_a, sys_b, z, ts):
     eigenvalues s_i^2 + s'_j^2 and eigenvectors v (x) v' in degree 0,
     u (x) v' and v (x) u' in degree 1, and u (x) u' in degree 2; the weight
     diagonal on x (x) y is <h_a x, x> + <h_b y, y>.  The kernel threshold
-    is the dense one, KERNEL_TOL_FACTOR (1 + largest torus eigenvalue).
+    is the dense one, the kernel_threshold of the largest torus eigenvalue.
     """
     if not (sys_a.exact and sys_b.exact):
         raise UnsupportedError("torus product requires exact factors")
@@ -964,7 +964,7 @@ def _torus_heat_traces(sys_a, sys_b, z, ts):
     da, db = sys_a.zeta_data(z), sys_b.zeta_data(z)
     lam_a, lam_b = da.sigma**2, db.sigma**2
     lam = np.add.outer(lam_a, lam_b)
-    tol = KERNEL_TOL_FACTOR * (1.0 + lam_a.max() + lam_b.max())
+    tol = kernel_threshold(lam_a.max() + lam_b.max())
     heat = np.exp(-ts[:, None, None] * lam) * (lam >= tol)
     rows, cols = heat.sum(axis=2), heat.sum(axis=1)  # sums over j, over i
 

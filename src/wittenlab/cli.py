@@ -80,7 +80,7 @@ def load_system(path, n_override=None):
     with open(path) as fh:
         cfg = json.load(fh)
     kind = cfg.get("type", "standard_zeros")
-    N = int(n_override or cfg.get("N", 256))
+    N = int(n_override if n_override is not None else cfg.get("N", 256))
     r = float(cfg.get("r", 0.35))
     if kind == "standard_zeros":
         zeros = [(float(p), float(v), int(k)) for p, v, k in cfg["zeros"]]

@@ -28,7 +28,7 @@ from .errors import (
     StateError,
     StructureError,
 )
-from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex
+from .spectral import GradedMatrixComplex, kernel_threshold
 
 __all__ = [
     "InstantonGraph",
@@ -84,6 +84,8 @@ class InstantonGraph:
         self.vertices = tuple(order)
         self.n = max(self.index_of.values(), default=0)
         self.edges = []
+        # positions in ``edges`` of each vertex's outgoing edges
+        self._out = {v: [] for v in order}
         for p, q, sign, weight in edges:
             if p not in self.index_of or q not in self.index_of:
                 raise StructureError(f"edge ({p!r}, {q!r}) references unknown vertex")
@@ -99,6 +101,7 @@ class InstantonGraph:
                 raise StructureError(
                     f"edge ({p!r}, {q!r}) has nonnegative weight {weight}"
                 )
+            self._out[p].append(len(self.edges))
             self.edges.append(GraphEdge(p, q, sign, weight))
         self.edges = tuple(self.edges)
         self.by_degree = tuple(
@@ -110,8 +113,23 @@ class InstantonGraph:
     def counts(self):
         return tuple(len(layer) for layer in self.by_degree)
 
-    def outgoing(self, p):
-        return [e for e in self.edges if e.p == p]
+    def escape_costs(self, weights=None):
+        """Escape cost -max outgoing weight of every positive-index vertex.
+
+        ``weights``, aligned with ``edges``, replaces the edge weights."""
+        if weights is None:
+            weights = [e.weight for e in self.edges]
+        costs = {}
+        for v in self.vertices:
+            if self.index_of[v] == 0:
+                continue
+            out = self._out[v]
+            if not out:
+                raise StructureError(
+                    f"vertex {v!r} of positive index has no outgoing edge"
+                )
+            costs[v] = -max(weights[i] for i in out)
+        return costs
 
     def reweighted(self, new_weights, require_negative=True):
         """Same combinatorics with new per-edge weights (parallel order kept)."""
@@ -180,13 +198,11 @@ def _edge_matrix(graph, k, entry):
 def _check_squares_combinatorial(graph):
     """Exact d^2 = 0 certificate: for every two-step pair (r, q), the signed
     edge pairs must cancel within groups of equal total weight."""
-    out_by_vertex = {}
-    for e in graph.edges:
-        out_by_vertex.setdefault(e.p, []).append(e)
     # accumulate signed counts of weight-pairs per endpoint pair
     table = {}
     for e1 in graph.edges:  # e1: p -> q at level (k+1 -> k)
-        for e2 in out_by_vertex.get(e1.q, ()):  # e2: q -> r
+        for i in graph._out[e1.q]:
+            e2 = graph.edges[i]  # e2: q -> r
             key = (e1.p, e2.q)
             table.setdefault(key, []).append((e1.weight + e2.weight, e1.sign * e2.sign))
     for (p, r), items in table.items():
@@ -285,8 +301,7 @@ def _svd_rank(mat, return_basis=False):
             )
         return 0
     u, s, vh = np.linalg.svd(mat)
-    tol = KERNEL_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
-    r = int(np.count_nonzero(s > tol))
+    r = int(np.count_nonzero(s > kernel_threshold(s[0])))
     if return_basis:
         return r, u[:, :r], vh[:r].conj().T
     return r
@@ -372,14 +387,7 @@ class TightnessReport:
 
 def tightness_check(graph) -> TightnessReport:
     """Per-vertex escape costs and whether they only depend on the index."""
-    vertex_cost = {}
-    for v in graph.vertices:
-        if graph.index_of[v] == 0:
-            continue
-        out = graph.outgoing(v)
-        if not out:
-            raise StructureError(f"vertex {v!r} of positive index has no edges")
-        vertex_cost[v] = -max(e.weight for e in out)
+    vertex_cost = graph.escape_costs()
     index_costs = []
     tight = True
     for k in range(1, graph.n + 1):
@@ -477,8 +485,7 @@ def small_spectrum_window(graph, z):
             out.append(np.zeros(0))
             continue
         s = np.linalg.svd(shifted, compute_uv=False)
-        tol = KERNEL_TOL_FACTOR * (1.0 + (s[0] if s.size else 0.0))
-        out.append(np.sort(s[s > tol]) ** 2)
+        out.append(np.sort(s[s > kernel_threshold(s[0])]) ** 2)
     return out
 
 
@@ -569,60 +576,46 @@ def projection_law_check(graph, mu_values, nu=0.0):
     return devs, rates
 
 
-def prescribe_increment(n, a, m1_1, m1_n, x0, xn, c0, cn):
+def prescribe_increment(n, m1_1, m1_n, x0, xn, c0, cn):
     """Closed-form change of the limit invariant under boundary-level
     modifications of strengths c0 (index 0) and cn (index n).
 
     The small part is the change of :func:`z_invariants` when the boundary
-    costs a_1 and a_n move from ``a`` to ``a + c0`` and ``a + cn``; that
-    limit is linear in the costs, so ``a`` drops out (it is kept so callers
-    do not change)."""
+    costs a_1 and a_n grow by c0 and cn; that limit is linear in the costs,
+    so the increment is c0 (m1_1 + x0) - (-1)^n cn (m1_n + xn)."""
     sgn = (-1.0) ** n
     return c0 * m1_1 - sgn * cn * m1_n + c0 * x0 - sgn * cn * xn
 
 
-def prescribe_tau(n, a, m1_1, m1_n, x0, xn, z_baseline, tau):
+def prescribe_tau(n, m1_1, m1_n, x0, xn, z_baseline, tau):
     """Solve for (c0, cn) >= 0 with baseline + increment(c0, cn) = tau.
 
-    For even n every target is reachable; for odd n the baseline is a floor
-    and targets below it raise InfeasibleError.  Monotone bisection on the
-    closed-form increment, then verified by forward evaluation.
+    Targets above the baseline move c0 and targets below it move cn; the
+    increment is linear in each, so one division solves it.  For even n
+    every target is reachable; for odd n the baseline is a floor and
+    targets below it raise InfeasibleError.  The solution is verified by
+    forward evaluation.
     """
     if x0 <= 0 or xn <= 0:
         raise DomainError("need at least one vertex of index 0 and of index n")
     goal = float(tau) - float(z_baseline)
     if goal == 0.0:
         return 0.0, 0.0
-
     if n % 2 == 1 and goal < 0.0:
         raise InfeasibleError(
             f"target below the reachable floor {z_baseline} for odd dimension"
         )
-
     if goal > 0.0:
-        f = lambda c: prescribe_increment(n, a, m1_1, m1_n, x0, xn, c, 0.0) - goal
-        free = "c0"
+        slope = m1_1 + x0  # rise per unit c0
     else:
-        f = lambda c: prescribe_increment(n, a, m1_1, m1_n, x0, xn, 0.0, c) - goal
-        free = "cn"
-
-    hi = 1.0
-    while f(hi) * f(0.0) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise InfeasibleError("failed to bracket the prescription root")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * (1.0 + hi):
-            break
-    c = 0.5 * (lo + hi)
-    c0, cn = (c, 0.0) if free == "c0" else (0.0, c)
-    check = z_baseline + prescribe_increment(n, a, m1_1, m1_n, x0, xn, c0, cn)
+        slope = (-1.0) ** n * (m1_n + xn)  # fall per unit cn
+    if not slope > 0.0:
+        raise InfeasibleError(
+            f"boundary strengths cannot move the limit towards {tau}"
+        )
+    c = abs(goal) / slope
+    c0, cn = (c, 0.0) if goal > 0.0 else (0.0, c)
+    check = z_baseline + prescribe_increment(n, m1_1, m1_n, x0, xn, c0, cn)
     if abs(check - tau) > 1e-10 * (1.0 + abs(tau)):
         raise InfeasibleError(f"prescription residual {abs(check - tau):.3e}")
     return c0, cn

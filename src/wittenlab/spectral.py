@@ -36,10 +36,12 @@ __all__ = [
     "zeta_via_spectrum",
     "betti_numbers",
     "warn_ambiguous_kernel",
+    "kernel_threshold",
 ]
 
 #: Relative scale for treating an eigenvalue or a singular value as zero, in
-#: every kernel threshold and rank of the package; see also kernel_tolerance.
+#: every kernel threshold and rank of the package; read only by
+#: :func:`kernel_threshold`.
 KERNEL_TOL_FACTOR = 1e-9
 
 #: Default relative tolerance factor for d^2 residuals of discretized sources.
@@ -53,6 +55,12 @@ _TOL_EIG = 1e-12
 _TOL_UNITARY = 1e-10
 
 SUBSETS = ("all", "perp", "small", "large")
+
+
+def kernel_threshold(largest) -> float:
+    """Scale-aware numeric-zero threshold for the eigenvalues or singular
+    values of one spectrum whose largest value is ``largest``."""
+    return KERNEL_TOL_FACTOR * (1.0 + largest)
 
 
 def _norm2_lower_bound(m) -> float:
@@ -197,7 +205,7 @@ class GradedLaplacianFamily:
 
     def kernel_tolerance(self) -> float:
         """Scale-aware numeric-zero threshold for eigenvalues."""
-        return KERNEL_TOL_FACTOR * (1.0 + self.max_eigenvalue())
+        return kernel_threshold(self.max_eigenvalue())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     InfeasibleTargets,
     InvariantViolation,
-    StructureError,
 )
 from .morse import InstantonGraph
 
@@ -58,11 +57,7 @@ class PrescriptionProblem:
         for a, b in zip(self.targets, self.targets[1:]):
             if b < a - _EQ_TOL:
                 raise DomainError("targets must be ascending: a_1 <= ... <= a_n")
-        for v in graph.vertices:
-            if graph.index_of[v] >= 1 and not graph.outgoing(v):
-                raise StructureError(
-                    f"vertex {v!r} of positive index has no outgoing edge"
-                )
+        graph.escape_costs()  # a positive-index vertex needs an edge
         self.raw_amplitude = max(
             (abs(e.weight) for e in graph.edges), default=0.0
         )
@@ -140,18 +135,15 @@ def prescribe_stages(graph: InstantonGraph, targets):
     targets = tuple(float(a) for a in targets)
     phi = {v: 0.0 for v in graph.vertices}
     current = list(e.weight for e in graph.edges)
+    costs = graph.escape_costs(current)
     stages = []
     for k in range(1, graph.n + 1):
         a_k = targets[k - 1]
-        b = {}
-        for v in graph.by_degree[k]:
-            outs = [
-                current[i] for i, e in enumerate(graph.edges) if e.p == v
-            ]
-            b[v] = -max(outs)
-            if b[v] > a_k + _EQ_TOL:
+        b = {v: costs[v] for v in graph.by_degree[k]}
+        for v, b_v in b.items():
+            if b_v > a_k + _EQ_TOL:
                 raise InvariantViolation(
-                    f"stage {k}: b_p = {b[v]} exceeds target {a_k} at {v!r}",
+                    f"stage {k}: b_p = {b_v} exceeds target {a_k} at {v!r}",
                     stage=k,
                 )
         b_min = min(b.values())
@@ -165,9 +157,9 @@ def prescribe_stages(graph: InstantonGraph, targets):
         stages.append(StageTrace(k, b, b_min))
         # after stage k every settled level sits exactly at its target and
         # edges from level k+1 stay above -a_k, keeping later stages feasible
+        costs = graph.escape_costs(current)
         for v in graph.by_degree[k]:
-            outs = [current[i] for i, e in enumerate(graph.edges) if e.p == v]
-            if abs(-max(outs) - a_k) > _EQ_TOL * (1.0 + a_k):
+            if abs(costs[v] - a_k) > _EQ_TOL * (1.0 + a_k):
                 raise InvariantViolation(
                     f"stage {k} failed to set the level at {v!r}", stage=k
                 )
@@ -242,9 +234,10 @@ class CertificateReport:
 
 def verify_prescription(problem: PrescriptionProblem,
                         result: PrescriptionResult) -> CertificateReport:
-    """Recompute everything from scratch: per-index escape costs by brute
-    force, exactness of the weight change against the claimed potential and
-    uniform shift, and strict negativity."""
+    """Recompute everything from the claimed final graph, never from stage
+    traces: per-index escape costs of ``result.graph``, exactness of the
+    weight change against the claimed potential and uniform shift, and
+    strict negativity."""
     graph = problem.graph
     final = result.graph
     counterexample = None
@@ -264,26 +257,22 @@ def verify_prescription(problem: PrescriptionProblem,
             (e.p, e.q) for e in final.edges if not e.weight < 0
         )
 
+    costs = final.escape_costs()
     per_index = {}
     costs_ok = True
     for k in range(1, graph.n + 1):
-        vals = []
-        for v in graph.by_degree[k]:
-            outs = [e.weight for e in final.edges if e.p == v]
-            vals.append(-max(outs))
         target = problem.targets[k - 1]
-        if all(abs(v - target) <= _EQ_TOL * (1.0 + target) for v in vals):
+        off = [
+            v for v in graph.by_degree[k]
+            if not abs(costs[v] - target) <= _EQ_TOL * (1.0 + target)
+        ]
+        if not off:
             per_index[k] = target
         else:
             per_index[k] = None
             costs_ok = False
             if counterexample is None:
-                bad = next(
-                    v for v in graph.by_degree[k]
-                    if abs(-max(e.weight for e in final.edges if e.p == v)
-                           - target) > _EQ_TOL * (1.0 + target)
-                )
-                counterexample = bad
+                counterexample = off[0]
     return CertificateReport(exactness, negativity, per_index, costs_ok,
                              counterexample)
 
@@ -292,28 +281,28 @@ def potential_consistency(problem, result):
     """Independent exactness check: the shifted weight change must be a
     coboundary, i.e. consistent along a spanning tree and over every extra
     edge (equivalently, all cycle sums vanish)."""
-    graph = problem.graph
-    delta = {}
-    for e_raw, e_new in zip(graph.edges, result.graph.edges):
-        delta[(e_raw.p, e_raw.q)] = e_new.weight - e_raw.weight + result.c
-    # BFS a potential from the deltas; every vertex pair may carry several
-    # parallel edges which must then agree among themselves.
+    deltas = []
+    incident = {v: [] for v in problem.graph.vertices}
+    for e_raw, e_new in zip(problem.graph.edges, result.graph.edges):
+        d = e_new.weight - e_raw.weight + result.c  # psi(q) - psi(p)
+        deltas.append((e_raw.p, e_raw.q, d))
+        incident[e_raw.p].append((e_raw.q, d))
+        incident[e_raw.q].append((e_raw.p, -d))
+    # BFS a potential along a spanning forest, then check every edge
+    # against it, parallel edges included
     psi = {}
-    for root in graph.vertices:
+    for root in problem.graph.vertices:
         if root in psi:
             continue
         psi[root] = 0.0
         frontier = [root]
         while frontier:
             x = frontier.pop()
-            for (p, q), d in delta.items():
-                if p == x and q not in psi:
-                    psi[q] = psi[x] + d  # d = psi(q) - psi(p)
-                    frontier.append(q)
-                elif q == x and p not in psi:
-                    psi[p] = psi[x] - d
-                    frontier.append(p)
-    for (p, q), d in delta.items():
+            for y, d in incident[x]:
+                if y not in psi:
+                    psi[y] = psi[x] + d
+                    frontier.append(y)
+    for p, q, d in deltas:
         if abs((psi[q] - psi[p]) - d) > _EXACT_TOL * (1.0 + abs(d)):
             return False, (p, q)
     return True, None
@@ -350,7 +339,7 @@ def random_feasible_problem(rng):
             for q in targets_below:
                 if rng.random() < 0.4:
                     chosen.add(q)
-            for q in chosen:
+            for q in sorted(chosen):
                 nedges = 1 + int(rng.random() < 0.25)
                 for _ in range(nedges):
                     w = float(rng.uniform(-amp, amp))

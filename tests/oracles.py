@@ -167,3 +167,16 @@ def torus_function_weight(sys_a, sys_b):
     the :func:`torus_tensor` degrees."""
     h = np.add.outer(sys_a.h, sys_b.h).ravel()
     return [np.diag(h), np.diag(np.concatenate([h, h])), np.diag(h)]
+
+
+def escape_costs_scan(graph, weights=None):
+    """-max outgoing weight per positive-index vertex, scanning every edge
+    once per vertex (weights aligned with graph.edges)."""
+    if weights is None:
+        weights = [e.weight for e in graph.edges]
+    costs = {}
+    for v in graph.vertices:
+        if graph.index_of[v] == 0:
+            continue
+        costs[v] = -max(w for e, w in zip(graph.edges, weights) if e.p == v)
+    return costs

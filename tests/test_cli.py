@@ -92,6 +92,16 @@ def test_circle_identity(capsys):
     assert code == 0
 
 
+def test_circle_identity_zero_grid_exits_3(capsys):
+    # an explicit N=0 is a grid size, not "use the config's N"
+    code = run(
+        "circle", "identity", "--config", str(DATA / "two_zero_exact.json"),
+        "--N", "0,64",
+    )
+    assert code == 3
+    assert "grid size" in capsys.readouterr().err
+
+
 def test_circle_infeasible_config_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

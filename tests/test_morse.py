@@ -348,34 +348,40 @@ def test_projection_law_nu_uniformity(tight2_graph):
 
 def test_prescribe_tau_identity_increment():
     # even dimension, equal boundary ranks: increment is linear
-    val = morse.prescribe_increment(2, 1.0, 1, 1, 3, 1, 0.7, 0.7)
+    val = morse.prescribe_increment(2, 1, 1, 3, 1, 0.7, 0.7)
     assert val == pytest.approx(0.7 * (3 - 1))
 
 
 def test_prescribe_tau_baseline():
-    assert morse.prescribe_tau(2, 1.0, 1, 1, 2, 1, 0.4, 0.4) == (0.0, 0.0)
+    assert morse.prescribe_tau(2, 1, 1, 2, 1, 0.4, 0.4) == (0.0, 0.0)
 
 
 def test_prescribe_tau_forward_check():
-    c0, cn = morse.prescribe_tau(2, 1.0, 1, 1, 2, 1, 0.0, 5.0)
+    c0, cn = morse.prescribe_tau(2, 1, 1, 2, 1, 0.0, 5.0)
     assert cn == 0.0 and c0 > 0
-    val = morse.prescribe_increment(2, 1.0, 1, 1, 2, 1, c0, cn)
+    val = morse.prescribe_increment(2, 1, 1, 2, 1, c0, cn)
     assert val == pytest.approx(5.0, abs=1e-10)
 
 
 def test_prescribe_tau_negative_target_even():
-    c0, cn = morse.prescribe_tau(2, 1.0, 1, 1, 2, 1, 0.0, -3.0)
+    c0, cn = morse.prescribe_tau(2, 1, 1, 2, 1, 0.0, -3.0)
     assert c0 == 0.0 and cn > 0
-    val = morse.prescribe_increment(2, 1.0, 1, 1, 2, 1, c0, cn)
+    val = morse.prescribe_increment(2, 1, 1, 2, 1, c0, cn)
     assert val == pytest.approx(-3.0, abs=1e-10)
 
 
 def test_prescribe_tau_odd_floor():
     with pytest.raises(InfeasibleError):
-        morse.prescribe_tau(3, 1.0, 1, 1, 2, 1, 0.0, -1.0)
-    c0, cn = morse.prescribe_tau(3, 1.0, 1, 1, 2, 1, 0.0, 4.0)
-    val = morse.prescribe_increment(3, 1.0, 1, 1, 2, 1, c0, cn)
+        morse.prescribe_tau(3, 1, 1, 2, 1, 0.0, -1.0)
+    c0, cn = morse.prescribe_tau(3, 1, 1, 2, 1, 0.0, 4.0)
+    val = morse.prescribe_increment(3, 1, 1, 2, 1, c0, cn)
     assert val == pytest.approx(4.0, abs=1e-10)
+
+
+def test_prescribe_tau_needs_positive_slope():
+    # m1_1 + x0 = 0: no c0 moves the limit up
+    with pytest.raises(InfeasibleError):
+        morse.prescribe_tau(2, -2, 1, 2, 1, 0.0, 1.0)
 
 
 def test_prescribe_increment_small_part_is_z_invariants_change():
@@ -389,7 +395,7 @@ def test_prescribe_increment_small_part_is_z_invariants_change():
         moved[0] += c0
         moved[-1] += cn
         change = morse.z_invariants(moved, m1[n]).small_limit - base
-        val = morse.prescribe_increment(n, a, m1[n][1], m1[n][n], 0, 0, c0, cn)
+        val = morse.prescribe_increment(n, m1[n][1], m1[n][n], 0, 0, c0, cn)
         assert val == pytest.approx(change)
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
 from wittenlab import weight_prescription as wp
 from wittenlab.errors import (
     DomainError,
@@ -167,6 +173,58 @@ def test_mutation_always_caught():
         cert = wp.verify_prescription(prob, tampered)
         consistent, _ = wp.potential_consistency(prob, tampered)
         assert not (cert.all_pass and consistent)
+
+
+@pytest.mark.parametrize("tampered_edge", [0, 1])
+def test_parallel_edge_tamper_caught_by_cycle_check(tampered_edge):
+    g = InstantonGraph(
+        [("p", 1), ("q", 0), ("r", 0)],
+        [("p", "q", 1, 0.3), ("p", "q", -1, -0.2), ("p", "r", 1, 0.1)],
+        require_negative=False,
+    )
+    prob = wp.PrescriptionProblem(g, [2.0])
+    res = wp.prescribe(prob)
+    weights = [e.weight for e in res.graph.edges]
+    weights[tampered_edge] += 0.1
+    tampered = wp.PrescriptionResult(
+        prob, res.c, res.potential,
+        g.reweighted(weights, require_negative=False), res.stages,
+    )
+    assert wp.potential_consistency(prob, tampered) == (False, ("p", "q"))
+
+
+def test_escape_costs_match_scan_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        g = wp.random_feasible_problem(rng).graph
+        assert list(g.escape_costs().items()) == list(
+            oracles.escape_costs_scan(g).items()
+        )
+        weights = list(rng.normal(size=len(g.edges)))
+        assert list(g.escape_costs(weights).items()) == list(
+            oracles.escape_costs_scan(g, weights).items()
+        )
+
+
+_EDGE_LIST = (
+    "import numpy as np; from wittenlab import weight_prescription as wp; "
+    "g = wp.random_feasible_problem(np.random.default_rng(3)).graph; "
+    "print([(e.p, e.q, e.sign, e.weight) for e in g.edges])"
+)
+
+
+def test_random_problem_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _EDGE_LIST], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_order_independence():
