@@ -19,7 +19,9 @@ Subpackages by topic:
   prescribed per-index escape costs, with independently verified
   certificates.
 - :mod:`wittenlab.zdist`: tempered-distribution pairings of heat
-  supertraces against Gaussian test functions.  The two integration orders
+  supertraces against Gaussian test functions, by a 65-node Gauss-Kronrod
+  rule whose embedded Gauss rule certifies each value with an error
+  estimate.  The two integration orders
   coincide by construction: per eigenpair the heat-time integral telescopes
   to the regularized trace, so both take the zeta invariant at each
   frequency node.

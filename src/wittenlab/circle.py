@@ -58,9 +58,9 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 4096
 #: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, evicted
-#: oldest first: six 129-node pairings, a whole delta_limit_report sweep of
-#: three strengths and two test functions.
-_ZETA_CACHE_SIZE = 6 * 129
+#: oldest first: six 65-node Gauss-Kronrod pairings, a whole
+#: delta_limit_report sweep of three strengths and two test functions.
+_ZETA_CACHE_SIZE = 6 * 65
 
 _diff_matrix_cache = {}
 
@@ -579,6 +579,7 @@ class ZetaInvariantResult:
     fluct_extrapolated: complex  # Richardson check of the h-channel
     small_counts: tuple
     converged: bool
+    kernel_margin: float  # min_j max(sigma_j / tol, tol / sigma_j)
 
     def csv_rows(self):
         rows = []
@@ -617,12 +618,13 @@ def zeta_invariant(system, z) -> ZetaInvariantResult:
     Richardson cross-check of the h-channel limit are returned as
     diagnostics; the small part is the exact finite sum over the small
     nonzero spectrum.  A singular value within 10x of the kernel threshold
-    makes the value depend on rounding and warns ``AmbiguousKernel``.
+    makes the value depend on rounding and warns ``AmbiguousKernel``;
+    ``kernel_margin`` records how close the nearest one comes.
     """
     z = complex(z)
     ts = default_t_sequence()
     data = system.zeta_data(z)
-    warn_ambiguous_kernel(data.sigma, data.tol)
+    margin = warn_ambiguous_kernel(data.sigma, data.tol)
     sigma, nz = data.sigma, data.nonzero
     small_count = int(np.count_nonzero(data.small))
     counts = system.counts
@@ -677,6 +679,7 @@ def zeta_invariant(system, z) -> ZetaInvariantResult:
         fluct_extrapolated=extra.value,
         small_counts=(small_count, small_count),
         converged=stable,
+        kernel_margin=margin,
     )
 
 

@@ -43,6 +43,9 @@ __all__ = [
 #: every kernel threshold and rank of the package; read only by
 #: :func:`kernel_threshold`.
 KERNEL_TOL_FACTOR = 1e-9
+#: A kernel count is ambiguous when some value lies within this factor of the
+#: kernel threshold, on either side.
+AMBIGUITY_MARGIN = 10.0
 
 #: Default relative tolerance factor for d^2 residuals of discretized sources.
 COMPLEX_TOL_FACTOR = 1e-10
@@ -298,16 +301,23 @@ def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:
 
 
 def warn_ambiguous_kernel(values, tol):
-    """Warn AmbiguousKernel, at the caller's caller, when any of the
-    eigenvalues or singular values lies within 10x of the kernel threshold
-    ``tol`` on either side: the kernel count then depends on rounding."""
-    near = np.count_nonzero((values >= tol / 10.0) & (values <= tol * 10.0))
-    if near:
+    """Return the kernel margin min_j max(v_j / tol, tol / v_j) of the
+    eigenvalues or singular values ``values`` against the kernel threshold
+    ``tol`` (infinite for a zero value or none), and warn AmbiguousKernel,
+    at the caller's caller, when it is at most ``AMBIGUITY_MARGIN``: a value
+    then lies that close to the threshold on either side, so the kernel
+    count depends on rounding."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(divide="ignore"):
+        margin = float(np.min(np.maximum(v / tol, tol / v), initial=np.inf))
+    if margin <= AMBIGUITY_MARGIN:
         warnings.warn(
-            f"{near} value(s) within 10x of the kernel threshold {tol:.3e}",
+            f"a value lies within {margin:.3g}x of the kernel threshold "
+            f"{tol:.3e}",
             AmbiguousKernel,
             stacklevel=3,
         )
+    return margin
 
 
 def betti_numbers(family: GradedLaplacianFamily, warn_ambiguous=True):

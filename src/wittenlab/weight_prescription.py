@@ -17,6 +17,7 @@ constant a_k - min_p b_p, which keeps all later stages feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     DomainError,
@@ -232,24 +233,38 @@ class CertificateReport:
         return payload
 
 
+def _edge_mismatch(raw, final):
+    """First edge, as (p, q), at which the edge lists of ``raw`` and
+    ``final`` stop pairing up position by position: different endpoints, or
+    an edge that only one list has.  The problem's edge is named where there
+    is one.  None when the lists pair up."""
+    for e_raw, e_new in zip_longest(raw.edges, final.edges):
+        if e_raw is None or e_new is None or (e_raw.p, e_raw.q) != (e_new.p, e_new.q):
+            e = e_new if e_raw is None else e_raw
+            return (e.p, e.q)
+    return None
+
+
 def verify_prescription(problem: PrescriptionProblem,
                         result: PrescriptionResult) -> CertificateReport:
     """Recompute everything from the claimed final graph, never from stage
     traces: per-index escape costs of ``result.graph``, exactness of the
-    weight change against the claimed potential and uniform shift, and
-    strict negativity."""
+    weight change against the claimed potential and uniform shift (edge by
+    edge, after checking that both graphs list the same edges), and strict
+    negativity."""
     graph = problem.graph
     final = result.graph
-    counterexample = None
+    counterexample = _edge_mismatch(graph, final)
 
-    exactness = True
-    for e_raw, e_new in zip(graph.edges, final.edges):
-        expected = e_raw.weight - result.c + result.potential[e_raw.q] \
-            - result.potential[e_raw.p]
-        if abs(e_new.weight - expected) > _EXACT_TOL * (1.0 + abs(expected)):
-            exactness = False
-            counterexample = (e_raw.p, e_raw.q)
-            break
+    exactness = counterexample is None
+    if exactness:
+        for e_raw, e_new in zip(graph.edges, final.edges):
+            expected = e_raw.weight - result.c + result.potential[e_raw.q] \
+                - result.potential[e_raw.p]
+            if abs(e_new.weight - expected) > _EXACT_TOL * (1.0 + abs(expected)):
+                exactness = False
+                counterexample = (e_raw.p, e_raw.q)
+                break
 
     negativity = all(e.weight < 0 for e in final.edges)
     if not negativity and counterexample is None:
@@ -280,7 +295,11 @@ def verify_prescription(problem: PrescriptionProblem,
 def potential_consistency(problem, result):
     """Independent exactness check: the shifted weight change must be a
     coboundary, i.e. consistent along a spanning tree and over every extra
-    edge (equivalently, all cycle sums vanish)."""
+    edge (equivalently, all cycle sums vanish).  Both graphs must list the
+    same edges; the first that differs is the counterexample."""
+    bad = _edge_mismatch(problem.graph, result.graph)
+    if bad is not None:
+        return False, bad
     deltas = []
     incident = {v: [] for v in problem.graph.vertices}
     for e_raw, e_new in zip(problem.graph.edges, result.graph.edges):

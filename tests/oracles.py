@@ -180,3 +180,16 @@ def escape_costs_scan(graph, weights=None):
             continue
         costs[v] = -max(w for e, w in zip(graph.edges, weights) if e.p == v)
     return costs
+
+
+def pairing_gl129(system, mu, specs):
+    """Frequency quadrature of the zeta invariant against each Gaussian test
+    function in ``specs``, all on one set of 129 Gauss-Legendre nodes over
+    the widest truncation radius; one value per test function."""
+    from wittenlab.circle import zeta_invariant
+
+    radius = max(s.truncation_radius for s in specs)
+    x, w = np.polynomial.legendre.leggauss(129)
+    nodes, weights = radius * x, radius * w
+    zeta = np.array([zeta_invariant(system, complex(mu, nu)).value for nu in nodes])
+    return [weights @ (s.hat(nodes) * zeta) / (2.0 * np.pi) for s in specs]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wittenlab as wl
-from wittenlab import circle
+from wittenlab import circle, zdist
 from wittenlab.errors import (
     AmbiguousKernel,
     ConfigError,
@@ -236,10 +236,15 @@ def test_zeta_small_is_log_derivative_of_small_sigma(tight2):
         (sigma,) = data.sigma[data.nonzero & data.small]
         return np.log(sigma)
 
-    h = 1e-4
+    # fourth-order central difference: at h = 1e-2 its truncation error and
+    # the rounding of the SVD both stay far below the tolerance
+    h = 1e-2
     for mu in (10.0, 20.0, 30.0):
         res = wl.zeta_invariant(tight2, complex(mu, 0.0))
-        fd = -(log_small(mu + h) - log_small(mu - h)) / (2.0 * h)
+        fd = -(
+            8.0 * (log_small(mu + h) - log_small(mu - h))
+            - (log_small(mu + 2.0 * h) - log_small(mu - 2.0 * h))
+        ) / (12.0 * h)
         assert res.zeta_sm.real == pytest.approx(fd, rel=1e-5)
 
 
@@ -263,11 +268,16 @@ def test_zeta_warns_on_ambiguous_kernel(shifted_c01, mu, ambiguous):
     z = complex(mu, 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        wl.zeta_invariant(shifted_c01, z)
+        res = wl.zeta_invariant(shifted_c01, z)
         wl.betti_novikov(shifted_c01, z)
     flagged = [w for w in caught if issubclass(w.category, AmbiguousKernel)]
     assert len(flagged) == (2 if ambiguous else 0)
     assert all(w.filename == __file__ for w in flagged)
+    assert (res.kernel_margin <= 10.0) == ambiguous
+    data = shifted_c01.zeta_data(z)
+    assert res.kernel_margin == min(
+        max(s / data.tol, data.tol / s) for s in data.sigma
+    )
 
 
 # The lattice breaks the continuum identity on non-exact systems: the Nyquist
@@ -432,7 +442,8 @@ def test_phi_psi_matrix_normalizes_cutoff_once(exact4, monkeypatch):
 
 
 def test_zeta_cache_is_bounded_fifo(monkeypatch):
-    assert circle._ZETA_CACHE_SIZE >= 6 * 129  # one delta_limit_report sweep
+    # one delta_limit_report sweep: 3 strengths x 2 widths x the node count
+    assert circle._ZETA_CACHE_SIZE >= 3 * 2 * len(zdist._X)
     monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
     system = wl.CircleWittenSystem.from_standard_zeros(
         [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8

@@ -184,6 +184,32 @@ def test_prescribe_verify_roundtrip(tmp_path):
     ) == 4
 
 
+@pytest.mark.parametrize("edit", ["deleted", "swapped"])
+def test_verify_rejects_edited_edge_list(edit, tmp_path, capsys):
+    out = tmp_path / "new.graph"
+    cert = tmp_path / "cert.json"
+    assert run(
+        "prescribe", "--graph", str(DATA / "raw.graph"), "--targets", "4",
+        "--out", str(out), "--cert", str(cert),
+    ) == 0
+    lines = []
+    for line in out.read_text().splitlines():
+        if line.startswith("e p q2 "):
+            if edit == "deleted":
+                continue
+            line = line.replace(" q2 ", " q1 ")
+        lines.append(line)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(
+        "verify", "--graph", str(DATA / "raw.graph"), "--targets", "4",
+        "--result", str(out), "--cert", str(cert),
+    ) == 4
+    printed = capsys.readouterr().out
+    assert "[FAIL] exactness" in printed
+    assert "[FAIL] cycle-sum exactness (('p', 'q2'))" in printed
+
+
 def test_zdist_pair_outer_rows_only(tmp_path, capsys):
     config = tmp_path / "exact.json"
     config.write_text(json.dumps({

@@ -193,6 +193,37 @@ def test_parallel_edge_tamper_caught_by_cycle_check(tampered_edge):
     assert wp.potential_consistency(prob, tampered) == (False, ("p", "q"))
 
 
+RAW_GRAPH = Path(__file__).parent / "data" / "raw.graph"
+
+
+def _edit_edge_p_q2(graph, edit):
+    """Copy of ``graph`` with its edge ``p -> q2`` deleted, or moved to
+    end at q1 (a swapped endpoint with the weight kept)."""
+    lines = []
+    for line in graph.dumps().splitlines():
+        if line.startswith("e p q2 "):
+            if edit == "deleted":
+                continue
+            line = line.replace(" q2 ", " q1 ")
+        lines.append(line)
+    return InstantonGraph.loads("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit", ["deleted", "swapped"])
+def test_edited_edge_list_is_a_counterexample(edit):
+    prob = wp.PrescriptionProblem(
+        InstantonGraph.load(RAW_GRAPH, require_negative=False), [4.0]
+    )
+    res = wp.prescribe(prob)
+    edited = wp.PrescriptionResult(
+        prob, res.c, res.potential, _edit_edge_p_q2(res.graph, edit), res.stages
+    )
+    cert = wp.verify_prescription(prob, edited)
+    assert not cert.exactness
+    assert cert.counterexample == ("p", "q2")
+    assert wp.potential_consistency(prob, edited) == (False, ("p", "q2"))
+
+
 def test_escape_costs_match_scan_oracle():
     rng = np.random.default_rng(41)
     for _ in range(20):

@@ -3,7 +3,9 @@ import pytest
 
 import wittenlab as wl
 from wittenlab import zdist
-from wittenlab.errors import DomainError
+from wittenlab.errors import ConvergenceError, DomainError
+
+from oracles import pairing_gl129
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,56 @@ def test_gaussian_validation():
         zdist.GaussianTestFunction(0.0)
 
 
+def test_kronrod_rule_exact_to_degree_97():
+    x, wk, wg = zdist._X, zdist._WK, zdist._WG
+    assert len(x) == 65
+    moments = np.polynomial.legendre.legvander(x, 98).T @ wk
+    assert moments[0] == pytest.approx(2.0, abs=1e-14)
+    assert np.max(np.abs(moments[1:98])) < 1e-14
+    assert abs(moments[98]) > 1e-6  # degree 98 is the first one missed
+    xg, wg_ref = np.polynomial.legendre.leggauss(32)
+    np.testing.assert_allclose(x[1::2], xg, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wg, wg_ref, rtol=0, atol=1e-15)
+    assert np.all(wk > 0)
+
+
+def test_kronrod_15_matches_quadpack():
+    # QUADPACK's qk15 abscissa and weight of the outermost Kronrod node
+    x, wk, wg = zdist._kronrod(7)
+    assert x[-1] == pytest.approx(0.991455371120812639206854697526329, abs=1e-15)
+    assert wk[-1] == pytest.approx(0.022935322010529224963732008058970, abs=1e-15)
+    assert wg[-1] == pytest.approx(0.129484966168869693270611432679082, abs=1e-15)
+
+
+@pytest.mark.parametrize("mu", [10.0, 30.0])
+@pytest.mark.parametrize("name", ["exact2", "tight2"])
+def test_pairing_matches_gl129_and_is_certified(name, mu, request):
+    system = request.getfixturevalue(name)
+    specs = [zdist.GaussianTestFunction(1.0), zdist.GaussianTestFunction(0.5)]
+    for spec, oracle in zip(specs, pairing_gl129(system, mu, specs)):
+        res = zdist.pair_outer_first(system, mu, spec)
+        assert res.node_count == 65
+        assert abs(res.value - oracle) <= 1e-9 * abs(oracle)
+        nodes = spec.truncation_radius * zdist._X
+        zeta = np.array(
+            [wl.zeta_invariant(system, complex(mu, nu)).value for nu in nodes]
+        )
+        mass = spec.truncation_radius * (zdist._WK @ np.abs(spec.hat(nodes) * zeta))
+        assert res.quadrature_error <= 1e-9 * mass / (2.0 * np.pi)
+
+
+def test_unresolved_rule_raises(exact2_small):
+    # on twice the radius the 32-point Gauss rule misses the Gaussian's peak
+    class Wide(zdist.GaussianTestFunction):
+        @property
+        def truncation_radius(self):
+            return 16.0 / self.sigma
+
+    with pytest.raises(ConvergenceError) as info:
+        zdist.pair_outer_first(exact2_small, 10.0, Wide(1.0))
+    assert info.value.data > 1e-6
+
+
 def test_zero_test_function(exact2):
     spec = zdist.GaussianTestFunction(1.0, amplitude=0.0)
     res = zdist.pair_outer_first(exact2, 12.0, spec)
@@ -35,7 +87,7 @@ def test_pairing_linearity(tight2):
     both = zdist.pair_inner_first(tight2, 12.0, (s1, s2))
     a = zdist.pair_inner_first(tight2, 12.0, s1)
     b = zdist.pair_inner_first(tight2, 12.0, s2)
-    # combined spec uses a wider truncation window; tails are certified
+    # a spec with two components pairs as the sum of its components
     assert abs(both.value - (a.value + b.value)) <= 1e-10 + a.tail_bound \
         + b.tail_bound + both.tail_bound
 
