@@ -37,7 +37,8 @@ def main():
     for sigma, est in sorted(rep.extrapolated.items()):
         print(f"  sigma={sigma}: {est:+.6f}")
     print("truncation radius:", outer.radius,
-          " certified tail bound:", f"{outer.tail_bound:.1e}",
+          " omitted f-hat mass (error <= mass x sup |zeta|):",
+          f"{outer.tail_bound:.1e}",
           f" Gauss-Kronrod nodes: {outer.node_count}",
           f" quadrature estimate (mu={outer.mu:g}): {outer.quadrature_error:.1e}")
 

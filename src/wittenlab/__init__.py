@@ -7,11 +7,12 @@ Subpackages by topic:
 - :mod:`wittenlab.model`: the harmonic-oscillator model of a nondegenerate
   zero, its exact spectrum, ground states, cutoff normalization, and a
   finite-difference validation harness.
-- :mod:`wittenlab.circle`: pseudospectral circle systems, zeta invariants
-  and their small/large split, the exact-form trace identity, descending-arc
-  data, the one-dimensional transgression pullback, cell integration, and
-  the zeta invariant of an exact product torus from one SVD per factor
-  (the Kronecker product complex is a test oracle).
+- :mod:`wittenlab.circle`: circle systems built from one callable eta, zeta
+  invariants and their small/large split, the exact-form trace identity,
+  descending arcs read off the instanton graph, the transgression pullback
+  (its sign fixed by algebra), cell integration, and the zeta invariant of
+  an exact product torus from one SVD per factor (the Kronecker product
+  complex is a test oracle).
 - :mod:`wittenlab.morse`: perturbed Morse complexes on instanton graphs,
   rank recursions, tightness, leading parts, eigenvalue windows, limit
   invariants, and the prescription equation.

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ConventionError,
     ConvergenceError,
     DataError,
     DomainError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .extrapolate import default_t_sequence, oscillating, richardson_sqrt
 from .model import cutoff_normalization, default_cutoff
-from .morse import InstantonGraph
+from .morse import InstantonGraph, tightness_check
 from .smoothfn import SMOOTH_STEP_MOMENT, smooth_plateau, smooth_step
 from .spectral import GradedMatrixComplex, kernel_threshold, warn_ambiguous_kernel
 
@@ -109,19 +108,6 @@ def _eval_series(coeffs, theta):
     k = np.fft.fftfreq(n, d=1.0 / n)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return np.exp(1j * np.outer(theta, k)) @ coeffs
-
-
-def _resample(samples, m):
-    """Trigonometric resampling of real samples onto an m-point grid."""
-    n = len(samples)
-    if m == n:
-        return np.asarray(samples, dtype=float)
-    c = np.fft.fft(samples)
-    out = np.zeros(m, dtype=complex)
-    h = n // 2
-    out[:h] = c[:h]
-    out[-h:] = c[-h:]
-    return np.real(np.fft.ifft(out)) * (m / n)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +211,6 @@ class StandardOneForm:
         self.zeros = tuple(CircleZero(p, k) for p, k in zip(positions, indices))
         self.r = float(r)
         self.arcs = []
-        self.weights = tuple(weights)
         for i in range(m):
             a = positions[i]
             b = positions[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
@@ -273,34 +258,28 @@ def make_standard_profile(zero_spec, r=0.35, N=256):
 class CircleWittenSystem:
     """Grid data of a circle system plus cached spectral quantities.
 
-    Construct via :meth:`from_standard_zeros`, :meth:`from_arc_weights`, or
-    :meth:`from_profile`.  Instances are immutable after construction apart
-    from internal caches keyed by the deformation parameter.
+    The one construction path takes a callable ``eta_fn`` that evaluates the
+    eta coefficient at angles; :meth:`from_standard_zeros`,
+    :meth:`from_arc_weights`, :meth:`from_callable_profile` and
+    :meth:`from_profile` build it.  Instances are immutable after
+    construction apart from internal caches keyed by the deformation
+    parameter.
     """
 
-    def __init__(self, eta_fn_or_samples, N=256, c=None, zeros=None, r=None, label=""):
+    def __init__(self, eta_fn, N=256, c=None, zeros=None, r=None, label=""):
         _check_grid_size(N)
         self.N = N
         self.theta = grid(N)
-        if callable(eta_fn_or_samples):
-            self._eta_fn = eta_fn_or_samples
-            self.eta = np.asarray(self._eta_fn(self.theta), dtype=float)
-        else:
-            self._eta_fn = None
-            self.eta = np.asarray(eta_fn_or_samples, dtype=float)
-            if self.eta.shape != (N,):
-                raise ConfigError("eta samples must match the grid size")
+        self._eta_fn = eta_fn
+        self.eta = np.asarray(eta_fn(self.theta), dtype=float)
         self.label = label
         m = max(_DENSE_MIN, 8 * N)
         dense_theta = TWO_PI * np.arange(m) / m
-        if self._eta_fn is not None:
-            dense = np.asarray(self._eta_fn(dense_theta), dtype=float)
-        else:
-            dense = _resample(self.eta, m)
+        dense = np.asarray(eta_fn(dense_theta), dtype=float)
         self._dense = dense
         mean = float(np.mean(dense))
-        if isinstance(eta_fn_or_samples, StandardOneForm):
-            self.c = eta_fn_or_samples.circulation
+        if isinstance(eta_fn, StandardOneForm):
+            self.c = eta_fn.circulation
         elif c is not None:
             self.c = float(c)
         else:
@@ -315,9 +294,9 @@ class CircleWittenSystem:
         nz = k != 0
         anti[nz] = coeffs[nz] / (1j * k[nz])
         self._anti_coeffs = anti
-        if isinstance(eta_fn_or_samples, StandardOneForm):
-            self.zeros = eta_fn_or_samples.zeros
-            self.r = eta_fn_or_samples.r
+        if isinstance(eta_fn, StandardOneForm):
+            self.zeros = eta_fn.zeros
+            self.r = eta_fn.r
         else:
             self.zeros = tuple(zeros) if zeros else self._locate_zeros()
             self.r = r
@@ -343,10 +322,7 @@ class CircleWittenSystem:
         positions = [s[0] for s in spec]
         values = [s[1] for s in spec]
         indices = [s[2] for s in spec]
-        weights = []
-        m = len(spec)
-        for i in range(m):
-            weights.append(values[(i + 1) % m] - values[i])
+        weights = [v1 - v0 for v0, v1 in zip(values, values[1:] + values[:1])]
         form = StandardOneForm(positions, indices, weights, r)
         if c == 0.0:
             return cls(form, N=N, label=label or "standard zeros")
@@ -355,18 +331,20 @@ class CircleWittenSystem:
                 f"|c| = {abs(c)} must be below half the cap radius {r}"
             )
         shifted = lambda theta: form(theta) + c
-        sys = cls(shifted, N=N, c=None, zeros=None, r=r, label=label or "shifted")
-        return sys
+        return cls(shifted, N=N, r=r, label=label or "shifted")
 
     @classmethod
     def from_profile(cls, h_samples, c=0.0, r=None, label=""):
         """Generic Morse profile sampled on the grid of the samples' length;
-        eta = h' + c, derivative taken spectrally, zeros located numerically."""
+        eta = h' + c, with h' the spectral derivative of the samples carried
+        off the grid by its trigonometric interpolant; zeros located
+        numerically."""
         h_samples = np.asarray(h_samples, dtype=float)
         if h_samples.ndim != 1:
             raise ConfigError("profile samples must be one-dimensional")
         N = len(h_samples)
-        eta = np.real(differentiation_matrix(N) @ h_samples) + c
+        coeffs = _fourier_coeffs(np.real(differentiation_matrix(N) @ h_samples))
+        eta = lambda t: np.real(_eval_series(coeffs, t)) + c
         return cls(eta, N=N, c=c, r=r, label=label or "profile samples")
 
     @classmethod
@@ -382,12 +360,8 @@ class CircleWittenSystem:
         dense = self._dense
         m = len(dense)
         dt = TWO_PI / m
-        if self._eta_fn is not None:
-            fn = self._eta_fn
-            f = lambda t: float(np.asarray(fn(np.atleast_1d(t))).ravel()[0])
-        else:
-            coeffs = _fourier_coeffs(dense)
-            f = lambda t: float(np.real(_eval_series(coeffs, t))[0])
+        fn = self._eta_fn
+        f = lambda t: float(np.asarray(fn(np.atleast_1d(t))).ravel()[0])
         zeros = []
         for i in range(m):
             a, b = dense[i], dense[(i + 1) % m]
@@ -453,15 +427,10 @@ class CircleWittenSystem:
     def negated(self):
         """The system driven by -eta (indices flip, circulation negates)."""
         flipped = tuple(CircleZero(z.position, 1 - z.index) for z in self.zeros)
-        if self._eta_fn is not None:
-            fn = self._eta_fn
-            return CircleWittenSystem(
-                lambda t: -np.asarray(fn(t)), N=self.N, c=-self.c,
-                zeros=flipped, r=self.r, label=f"-({self.label})",
-            )
+        fn = self._eta_fn
         return CircleWittenSystem(
-            -self.eta, N=self.N, c=-self.c, zeros=flipped, r=self.r,
-            label=f"-({self.label})",
+            lambda t: -np.asarray(fn(t)), N=self.N, c=-self.c,
+            zeros=flipped, r=self.r, label=f"-({self.label})",
         )
 
     # -- spectral data -------------------------------------------------------
@@ -707,17 +676,8 @@ def exact_identity_residual(system, z, t):
 
 
 @dataclass(frozen=True)
-class CircleArc:
-    source: int  # zero index into system.zeros (index-1 zero)
-    target: int  # zero index into system.zeros (index-0 zero)
-    sign: int
-    weight: float
-
-
-@dataclass(frozen=True)
 class CircleInstantonData:
-    arcs: tuple
-    vertex_cost: dict  # per index-1 zero position in system.zeros
+    arcs: tuple  # the GraphEdge edges of circle_graph(system)
     index_cost: float
     tight: bool
 
@@ -729,7 +689,17 @@ class CircleInstantonData:
 
 
 def instanton_data_circle(system) -> CircleInstantonData:
-    """Descending arcs from each index-1 zero with signs and weights.
+    """Descending arcs with signs and weights, the index-1 escape cost and
+    tightness, all read off :func:`circle_graph` by ``tightness_check``."""
+    graph = circle_graph(system)
+    report = tightness_check(graph)
+    return CircleInstantonData(graph.edges, report.index_costs[0], report.tight)
+
+
+def circle_graph(system) -> InstantonGraph:
+    """Instanton graph of the system: vertex ``x{i}`` is ``system.zeros[i]``,
+    and each index-1 zero has its two descending arcs, weighted by the
+    integral of eta along them.
 
     Orientation convention: every unstable cell is oriented
     counterclockwise, so the arc toward the next zero carries +1 and the
@@ -737,8 +707,7 @@ def instanton_data_circle(system) -> CircleInstantonData:
     """
     zs = system.zeros
     m = len(zs)
-    arcs = []
-    cost = {}
+    edges = []
     for i, zp in enumerate(zs):
         if zp.index != 1:
             continue
@@ -750,72 +719,36 @@ def instanton_data_circle(system) -> CircleInstantonData:
                 raise LyapunovError(
                     f"{which} arc from zero {i} has nonnegative integral {w}"
                 )
-        arcs.append(CircleArc(i, (i + 1) % m, +1, w_next))
-        arcs.append(CircleArc(i, (i - 1) % m, -1, w_prev))
-        cost[i] = -max(w_next, w_prev)
-    costs = list(cost.values())
-    index_cost = min(costs)
-    tight = max(costs) - index_cost <= 1e-9 * (1.0 + abs(index_cost))
-    return CircleInstantonData(tuple(arcs), cost, index_cost, tight)
-
-
-def circle_graph(system) -> InstantonGraph:
-    """Instanton graph of the system (vertex ids mirror the zero order)."""
-    data = instanton_data_circle(system)
-    verts = [(f"x{i}", z.index) for i, z in enumerate(system.zeros)]
-    edges = [(f"x{a.source}", f"x{a.target}", a.sign, a.weight) for a in data.arcs]
+        edges.append((f"x{i}", f"x{(i + 1) % m}", +1, w_next))
+        edges.append((f"x{i}", f"x{(i - 1) % m}", -1, w_prev))
+    verts = [(f"x{i}", z.index) for i, z in enumerate(zs)]
     return InstantonGraph(verts, edges)
 
 
 # -- the one-dimensional transgression pullback -----------------------------
 
-_mq_sign_cache = {}
-
-
-def _calibrate_mq_sign():
-    """Fix the global sign of the pullback once, against the exact-form
-    limit on a reference system: the invariant must equal the alternating
-    sum of critical values."""
-    if "sign" in _mq_sign_cache:
-        return _mq_sign_cache["sign"]
-    ref = CircleWittenSystem.from_standard_zeros(
-        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=128
-    )
-    oracle = sum(
-        (-1.0) ** z.index * ref.h_at(z.position) for z in ref.zeros
-    )
-    half_tv = 0.5 * ref.total_variation()
-    for s in (+1.0, -1.0):
-        if abs(s * half_tv - oracle) <= 1e-6 * (1.0 + abs(oracle)):
-            _mq_sign_cache["sign"] = s
-            _mq_sign_cache["reference"] = (oracle, half_tv)
-            return s
-    raise ConventionError(
-        f"neither sign of the half total variation matches the exact-form "
-        f"oracle {oracle}"
-    )
+_MQ_SIGN = -1.0  # global sign of the pullback; see mathai_quillen_1d
 
 
 @dataclass(frozen=True)
 class MathaiQuillenResult:
     samples: np.ndarray
     value: float  # integral of eta wedge pullback
-    sign: float
-    reference: tuple
 
 
 def mathai_quillen_1d(system) -> MathaiQuillenResult:
     """Pullback of the angular transgression current by the descent field.
 
-    On the circle the pullback is the half-integer sign function of the eta
-    coefficient, up to a global sign fixed once by calibration against the
-    exact-form value of the invariant; the pairing with eta is then half the
-    total variation, with that sign.
+    On the circle the pullback is s/2 times the sign of eta, so its pairing
+    with eta is s/2 times the total variation TV.  The sign s = ``_MQ_SIGN``
+    = -1 is fixed by algebra: for eta = dh the index-1 zeros are the maxima
+    of h, each arc joins a maximum M to a minimum m with |integral of eta| =
+    h(M) - h(m), and every zero ends two arcs, so the exact-form value
+    sum_k (-1)^k h(x_k) = sum_min h - sum_max h is -TV/2.
     """
-    s = _calibrate_mq_sign()
-    samples = s * 0.5 * np.sign(system.eta)
-    value = s * 0.5 * system.total_variation()
-    return MathaiQuillenResult(samples, float(value), s, _mq_sign_cache["reference"])
+    samples = _MQ_SIGN * 0.5 * np.sign(system.eta)
+    value = _MQ_SIGN * 0.5 * system.total_variation()
+    return MathaiQuillenResult(samples, float(value))
 
 
 # -- integration over unstable cells ----------------------------------------

@@ -12,11 +12,10 @@ import sys
 
 import numpy as np
 
-from . import circle, model, morse, zdist
+from . import circle, model, morse, spectral, zdist
 from . import weight_prescription as presc
 from .errors import (
     ConfigError,
-    ConventionError,
     ConvergenceError,
     DataError,
     DomainError,
@@ -52,7 +51,6 @@ _INPUT_ERRORS = (
     ShapeError,
     DataError,
     NumericalError,
-    ConventionError,
     FileNotFoundError,
     json.JSONDecodeError,
 )
@@ -205,7 +203,9 @@ def cmd_circle_zeta(args):
         rows.extend(res.csv_rows())
         print(f"  mu={mu:g}: zeta1={res.value:.8f} sm={res.zeta_sm:.8f} "
               f"la={res.zeta_la:.8f}")
-        report.check(f"extrapolation converged (mu={mu:g})", res.converged)
+        report.check(f"kernel margin > {spectral.AMBIGUITY_MARGIN:g} (mu={mu:g})",
+                     res.kernel_margin > spectral.AMBIGUITY_MARGIN,
+                     f"margin {res.kernel_margin:.3g}")
         if system.exact:
             oracle = sum((-1.0) ** z.index * system.h_at(z.position)
                          for z in system.zeros)

@@ -25,10 +25,6 @@ class LyapunovError(ValueError):
     """A descent-path integral that must be negative is not."""
 
 
-class ConventionError(RuntimeError):
-    """A one-time sign calibration failed to single out a convention."""
-
-
 class DataError(ValueError):
     """Form samples do not cover the region an operation needs."""
 

@@ -379,11 +379,6 @@ class TightnessReport:
     index_costs: tuple  # min over the index level, entries for k = 1..n
     tight: bool
 
-    @property
-    def a(self):
-        """Common per-index costs a_k (k = 1..n); only meaningful when tight."""
-        return self.index_costs
-
 
 def tightness_check(graph) -> TightnessReport:
     """Per-vertex escape costs and whether they only depend on the index."""

@@ -179,9 +179,8 @@ class GradedLaplacianFamily:
     bound :func:`_norm2_lower_bound` of ||m||_2.
     """
 
-    def __init__(self, laplacians, complex_=None, commutation_residuals=None):
+    def __init__(self, laplacians, commutation_residuals=None):
         self.laplacians = tuple(np.asarray(m, dtype=complex) for m in laplacians)
-        self.complex = complex_
         self.commutation_residuals = tuple(commutation_residuals or ())
         self.eigenvalues = None
         self.eigenframes = None
@@ -260,7 +259,7 @@ def assemble_laplacians(complex_: GradedMatrixComplex) -> GradedLaplacianFamily:
             1.0 + max(_norm2_lower_bound(laps[k]), _norm2_lower_bound(laps[k + 1]))
         )
         residuals.append(num / den if den else 0.0)
-    return GradedLaplacianFamily(laps, complex_, residuals)
+    return GradedLaplacianFamily(laps, residuals)
 
 
 def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:

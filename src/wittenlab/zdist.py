@@ -18,8 +18,9 @@ estimate (as in QUADPACK, Piessens et al. 1983).  A pairing whose estimate
 exceeds ``_QUAD_RTOL`` of the integrand mass raises ``ConvergenceError``
 instead of returning an uncertified value.
 
-Only the centered Gaussian family is implemented; its transform decays fast
-enough that the frequency truncation error is certifiable in closed form.
+Only the centered Gaussian family is implemented.  Its transform's mass
+beyond the truncation radius is a closed form; times the sup of |zeta|
+there it bounds the frequency truncation error.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ class GaussianTestFunction:
         return _R_SCALE / self.sigma
 
     def tail_bound(self, radius):
-        """Bound on the omitted mass (1/2pi) * integral over |nu| > radius."""
+        """Omitted mass (1/2pi) * integral of |f-hat| over |nu| > radius of
+        the test function alone; a pairing's truncation error is at most
+        this times the sup of |zeta(1, mu + i nu)| over |nu| > radius."""
         return (
             abs(self.amplitude)
             * erfc(self.sigma * radius / np.sqrt(2.0))
@@ -132,7 +135,7 @@ class PairingResult:
     mu: float
     order: str  # label only: both orders evaluate the same quadrature
     radius: float  # the widest component's truncation radius
-    tail_bound: float
+    tail_bound: float  # omitted f-hat mass; error <= it x sup |zeta| beyond
     node_count: int
     quadrature_error: float  # |Kronrod - Gauss|, summed over components
 

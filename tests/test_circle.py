@@ -1,10 +1,11 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wittenlab as wl
-from wittenlab import circle, zdist
+from wittenlab import circle, cli, zdist
 from wittenlab.errors import (
     AmbiguousKernel,
     ConfigError,
@@ -22,6 +23,8 @@ from oracles import (
     cutoff_state_loop,
     smooth_step_moment_quadrature,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- construction -------------------------------------------------------------
@@ -338,6 +341,17 @@ def test_instanton_weights_differ_by_circulation(tight2):
     assert data.tight  # single index-1 zero
 
 
+def test_instanton_data_not_tight(exact4):
+    # maxima 0.5 and 0.4 over minima -0.45 and -0.5: escape costs 0.95 and
+    # 0.85, so the per-index cost is the smaller one and a1 is undefined
+    data = wl.instanton_data_circle(exact4)
+    assert data.arcs == circle.circle_graph(exact4).edges
+    assert not data.tight
+    assert data.index_cost == pytest.approx(0.85, abs=1e-8)
+    with pytest.raises(StateError):
+        data.a1
+
+
 def test_instanton_signs(tight2):
     data = wl.instanton_data_circle(tight2)
     signs = {a.sign for a in data.arcs}
@@ -354,7 +368,23 @@ def test_mathai_quillen_exact_value(exact2):
     )
     assert res.value == pytest.approx(oracle, abs=1e-8)
     assert res.value == pytest.approx(-2.0, abs=1e-6)
-    assert res.sign == -1.0
+
+
+@pytest.mark.parametrize(
+    "name", ["two_zero_exact.json", "four_zero_exact.json", "exact4",
+             "exact2_small", "trig256"],
+)
+def test_mathai_quillen_is_alternating_critical_sum(name, request):
+    # the pullback's sign is a constant: for eta = dh each arc joins a
+    # maximum (index 1) to a minimum, so sum_k (-1)^k h(x_k) = -TV/2
+    if name.endswith(".json"):
+        system = cli.load_system(str(DATA / name))
+    else:
+        system = request.getfixturevalue(name)
+    assert system.exact
+    oracle = sum((-1.0) ** z.index * system.h_at(z.position) for z in system.zeros)
+    value = wl.mathai_quillen_1d(system).value
+    assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_mathai_quillen_linear_in_form():

@@ -7,7 +7,7 @@ import pytest
 
 from wittenlab import cli, model
 from wittenlab.errors import (
-    ConventionError,
+    AmbiguousKernel,
     DataError,
     InvariantViolation,
     NotAComplex,
@@ -73,7 +73,24 @@ def test_circle_zeta(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "zeta1=-1.98" in text
+    assert "[PASS] kernel margin > 10 (mu=30)" in text
     assert out.exists() and out.with_suffix(".csv.json").exists()
+
+
+def test_circle_zeta_ambiguous_kernel_exits_1(tmp_path, capsys):
+    # with circulation 0.1 on N = 128 the tunnelling singular value at
+    # mu = 10 lies within 1.09x of the kernel threshold: the value depends
+    # on rounding, so the kernel-margin check fails
+    cfg = tmp_path / "c01.json"
+    cfg.write_text(json.dumps({
+        "type": "standard_zeros",
+        "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]],
+        "r": 0.35, "c": 0.1, "N": 128,
+    }))
+    with pytest.warns(AmbiguousKernel):
+        code = run("circle", "zeta", "--config", str(cfg), "--mu", "10")
+    assert code == 1
+    assert "[FAIL] kernel margin > 10 (mu=10)" in capsys.readouterr().out
 
 
 def test_circle_gap(capsys):
@@ -128,7 +145,6 @@ def test_circle_phi_readme_example(capsys):
         (ShapeError, 3),
         (DataError, 3),
         (NumericalError, 3),
-        (ConventionError, 3),
     ],
 )
 def test_library_errors_map_to_exit_codes(monkeypatch, exc_type, expected):
