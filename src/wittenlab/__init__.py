@@ -8,7 +8,8 @@ Subpackages by topic:
   zero, its exact spectrum, ground states, cutoff normalization, and a
   finite-difference validation harness.
 - :mod:`wittenlab.circle`: circle systems built from one callable eta, zeta
-  invariants and their small/large split, the exact-form trace identity,
+  invariants and their small/large split, their closed-form continuum
+  value, the exact-form trace identity,
   descending arcs read off the instanton graph, the transgression pullback
   (its sign fixed by algebra), cell integration, and the zeta invariant of
   an exact product torus from one SVD per factor (the Kronecker product

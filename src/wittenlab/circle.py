@@ -7,9 +7,14 @@ in the arc-length coordinate.  The deformed differential at parameter
 z = mu + i nu is the Fourier pseudospectral derivative plus z times
 multiplication by the eta coefficient; the codifferential is its conjugate
 transpose in the flat metric.  All spectral quantities of the two Laplacians
-are derived from the singular value decomposition of that single matrix,
-which keeps exponentially small eigenvalues meaningful relative to the
-matrix scale.
+are derived from the singular values of that single matrix, which keeps
+exponentially small eigenvalues meaningful relative to the matrix scale.
+Quantities that pair eigenvectors with weights (zeta invariants, trace
+identities, cell integrals, tori) read the full singular value
+decomposition; the kernel count and the spectral-gap sweep read the
+singular values alone, from a values-only bidiagonal SVD that keeps small
+values to high relative accuracy (Demmel-Kahan 1990).  Both apply one
+kernel rule.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "assemble_circle_complex",
     "betti_novikov",
     "zeta_invariant",
+    "continuum_zeta",
     "exact_identity_residual",
     "instanton_data_circle",
     "mathai_quillen_1d",
@@ -56,7 +62,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 4096
-#: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, evicted
+#: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, and
+#: separately by :meth:`CircleWittenSystem.singular_values`, each evicted
 #: oldest first: six 65-node Gauss-Kronrod pairings, a whole
 #: delta_limit_report sweep of three strengths and two test functions.
 _ZETA_CACHE_SIZE = 6 * 65
@@ -302,9 +309,11 @@ class CircleWittenSystem:
             self.r = r
         # the grid is every (m/N)-th point of the dense grid, so one inverse
         # FFT evaluates the primitive's series there
-        self.h = m * np.real(np.fft.ifft(anti))[:: m // N]
+        self._dense_h = m * np.real(np.fft.ifft(anti))
+        self.h = self._dense_h[:: m // N].copy()
         self._validate()
         self._zeta_cache = {}
+        self._sigma_cache = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -450,8 +459,25 @@ class CircleWittenSystem:
         order = np.argsort(s)
         return s[order], u[:, order], vh.conj().T[:, order]
 
+    def singular_values(self, z):
+        """Singular values of the differential, ascending, without singular
+        vectors.
+
+        There is one array per parameter: a cached :meth:`zeta_data` entry
+        hands out its own ``sigma``; otherwise the values-only result is
+        kept in a cache of at most ``_ZETA_CACHE_SIZE`` parameters, oldest
+        evicted first."""
+        z = complex(z)
+        if z in self._zeta_cache:
+            return self._zeta_cache[z].sigma
+        if z not in self._sigma_cache:
+            _make_room(self._sigma_cache)
+            s = np.linalg.svd(self.differential(z), compute_uv=False)
+            self._sigma_cache[z] = np.sort(s)
+        return self._sigma_cache[z]
+
     def sigma_tolerance(self, sigma):
-        return kernel_threshold(sigma[-1] if len(sigma) else 0.0)
+        return _kernel_split(sigma)[0]
 
     def zeta_data(self, z):
         """Cached small payload per parameter: singular values, the diagonal
@@ -460,19 +486,19 @@ class CircleWittenSystem:
         with the kernel count and nonzero/small masks every consumer reads.
 
         At most ``_ZETA_CACHE_SIZE`` parameters are kept; the oldest entry
-        is evicted first."""
+        is evicted first.  A values-only entry for the same parameter is
+        dropped, so :meth:`singular_values` returns this entry's sigma."""
         z = complex(z)
         if z not in self._zeta_cache:
-            if len(self._zeta_cache) >= _ZETA_CACHE_SIZE:
-                del self._zeta_cache[next(iter(self._zeta_cache))]
+            _make_room(self._zeta_cache)
+            self._sigma_cache.pop(z, None)
             sigma, u, v = self.spectrum(z)
             wv = self.eta[:, None] * v
             coeffs = np.einsum("ij,ij->j", u.conj(), wv)
             h0 = np.real(np.einsum("ij,ij->j", v.conj(), self.h[:, None] * v))
             h1 = np.real(np.einsum("ij,ij->j", u.conj(), self.h[:, None] * u))
             id_diag = np.einsum("ij,ij->j", u.conj(), v)
-            tol = self.sigma_tolerance(sigma)
-            ker = sigma < tol
+            tol, ker, nonzero, small = _kernel_split(sigma)
             if ker.any():
                 k0, k1 = v[:, ker], u[:, ker]
                 kernel_term = complex(
@@ -482,10 +508,23 @@ class CircleWittenSystem:
             else:
                 kernel_term = 0.0 + 0.0j
             self._zeta_cache[z] = _ZetaData(
-                sigma, coeffs, h0, h1, id_diag, kernel_term, int(ker.sum()),
-                tol, sigma > tol, sigma**2 <= 1.0,
+                sigma, coeffs, h0, h1, id_diag, kernel_term, tol, nonzero, small,
             )
         return self._zeta_cache[z]
+
+
+def _make_room(cache):
+    """Evict the oldest entry of a per-system spectral cache when full."""
+    if len(cache) >= _ZETA_CACHE_SIZE:
+        del cache[next(iter(cache))]
+
+
+def _kernel_split(sigma):
+    """The one kernel rule on ascending singular values of the differential:
+    the kernel threshold tol, and the kernel (sigma < tol), nonzero
+    (sigma > tol) and small-branch (sigma^2 <= 1) masks."""
+    tol = kernel_threshold(sigma[-1] if len(sigma) else 0.0)
+    return tol, sigma < tol, sigma > tol, sigma**2 <= 1.0
 
 
 @dataclass(frozen=True)
@@ -496,8 +535,7 @@ class _ZetaData:
     h1: np.ndarray  # <h u_j, u_j>
     id_diag: np.ndarray  # <v_j, u_j>
     kernel_term: complex  # degree-alternating h-expectation over the kernels
-    kernel_count: int  # sigma < tol
-    tol: float  # kernel threshold from CircleWittenSystem.sigma_tolerance
+    tol: float  # kernel threshold from _kernel_split
     nonzero: np.ndarray  # sigma > tol
     small: np.ndarray  # sigma^2 <= 1, the small branch of the spectrum
 
@@ -522,9 +560,11 @@ def betti_novikov(system, z):
     genuinely tiny nonzero eigenvalues are kept out of the kernel for as
     long as double precision can represent them.
     """
-    data = system.zeta_data(z)
-    warn_ambiguous_kernel(data.sigma, data.tol)
-    return (data.kernel_count, data.kernel_count)
+    sigma = system.singular_values(z)
+    tol, ker, _, _ = _kernel_split(sigma)
+    warn_ambiguous_kernel(sigma, tol)
+    count = int(ker.sum())
+    return (count, count)
 
 
 def rotation_reference_sum(N, z, c):
@@ -532,6 +572,28 @@ def rotation_reference_sum(N, z, c):
     (derivative plus z c), over the N lattice wavenumbers."""
     lam = 1j * _wavenumbers(N) + complex(z) * c
     return -complex(np.sum(1.0 / lam))
+
+
+def continuum_zeta(system, z) -> complex:
+    """Closed-form continuum value of zeta(1, z), Re z > 0, for the system's
+    one-form.
+
+    For c != 0 the differential has no kernel and the value is
+    -pi c coth(pi z c), whatever h is.  For c = 0 the kernels are e^{-zh}
+    and e^{conj(z) h}, and the value is <h>_{e^{-2 mu h}} - <h>_{e^{+2 mu h}},
+    independent of nu; the two weighted means are taken by the trapezoid
+    rule on the dense grid, which is spectrally accurate for periodic
+    integrands.
+    """
+    z = complex(z)
+    if not system.exact:
+        c = system.c
+        return complex(-np.pi * c / np.tanh(np.pi * z * c))
+    h = system._dense_h
+    two_mu = 2.0 * z.real
+    down = np.exp(-two_mu * (h - h.min()))
+    up = np.exp(two_mu * (h - h.max()))
+    return complex(np.sum(h * down) / np.sum(down) - np.sum(h * up) / np.sum(up))
 
 
 @dataclass(frozen=True)
@@ -948,16 +1010,24 @@ class GapReport:
 
 def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
     """Per-mu extremes of the two spectral branches, with the decay fit of
-    the small branch and the linear lower bound of the large branch."""
+    the small branch and the linear lower bound of the large branch.
+
+    ``small_counts`` counts the whole small branch.  ``max_small`` and the
+    slope leave out the topological kernel, the Novikov Betti number per
+    degree (1 for exact forms, 0 otherwise), taken as the smallest values:
+    its eigenvalues are rounding noise, so an exact two-zero system reports
+    ``max_small`` 0 and slope -inf (no decay fit)."""
+    kernel = 1 if system.exact else 0
     max_small, min_large, counts = [], [], []
     for mu in mu_sweep:
-        data = system.zeta_data(complex(mu, nu))
-        lam = data.sigma**2
-        small = lam[data.small]
-        large = lam[~data.small]
-        max_small.append(float(small.max()) if small.size else 0.0)
+        sigma = system.singular_values(complex(mu, nu))
+        small = _kernel_split(sigma)[3]
+        lam = sigma**2
+        tunnelling = lam[small][kernel:]
+        large = lam[~small]
+        max_small.append(float(tunnelling.max()) if tunnelling.size else 0.0)
         min_large.append(float(large.min()) if large.size else np.inf)
-        counts.append(int(small.size))
+        counts.append(int(np.count_nonzero(small)))
     ms = np.asarray(max_small)
     if np.all(ms > 0):
         slope = float(np.polyfit(np.asarray(mu_sweep, float), np.log(ms), 1)[0])

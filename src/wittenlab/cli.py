@@ -207,12 +207,13 @@ def cmd_circle_zeta(args):
                      res.kernel_margin > spectral.AMBIGUITY_MARGIN,
                      f"margin {res.kernel_margin:.3g}")
         if system.exact:
-            oracle = sum((-1.0) ** z.index * system.h_at(z.position)
-                         for z in system.zeros)
-            rel = abs(res.value - oracle) / max(abs(oracle), 1e-12)
+            cont = circle.continuum_zeta(system, complex(mu, args.nu))
+            rel = abs(res.value - cont) / max(abs(cont), 1e-12)
             report.check(
-                f"exact-form value within 1% (mu={mu:g})", rel < 0.01,
-                f"zeta1={res.value.real:.6f} oracle={oracle:.6f} rel={rel:.2%}",
+                f"exact-form value within 1e-6 of continuum (mu={mu:g})",
+                rel <= 1e-6,
+                f"zeta1={res.value.real:.8f} continuum={cont.real:.8f} "
+                f"rel={rel:.2e}",
             )
     header = ("mu", "nu", "t", "raw_supertrace_re", "raw_supertrace_im",
               "zeta1_re", "zeta1_im", "zeta_sm", "zeta_la")

@@ -37,16 +37,11 @@ class Report:
     def __init__(self, name):
         self.name = name
         self.checks = []
-        self.data = {}
 
     def check(self, label, ok, detail=""):
         self.checks.append((label, bool(ok), detail))
         print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f" ({detail})" if detail else ""))
         return bool(ok)
-
-    def note(self, label, value):
-        self.data[label] = value
-        print(f"       {label} = {fmt(value) if isinstance(value, (float, complex)) else value}")
 
     @property
     def passed(self):
@@ -59,6 +54,5 @@ class Report:
             "checks": [
                 {"label": l, "ok": ok, "detail": d} for l, ok, d in self.checks
             ],
-            "data": {k: (fmt(v) if isinstance(v, (float, complex)) else v)
-                     for k, v in self.data.items()},
+            "data": {},
         }

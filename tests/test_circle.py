@@ -1,3 +1,4 @@
+import copy
 import warnings
 from pathlib import Path
 
@@ -296,6 +297,92 @@ def test_zeta_conjugation_symmetry(name, bound, request):
             assert abs(down - up.conjugate()) <= bound * abs(up)
 
 
+# The continuum value: ROADMAP-measured agreement of the lattice is about
+# 1e-9 on exact two-zero forms, 1e-7 on exact4 below the tunnelling horizon
+# and 1.2e-5 on tight2 at mu = 10 (an N^-3 lattice law).
+@pytest.mark.parametrize("name, mu, bound", [
+    ("exact2", 10.0, 1e-6), ("exact2", 20.0, 1e-6), ("exact2", 30.0, 1e-6),
+    ("exact4", 10.0, 1e-6), ("exact4", 16.0, 1e-6), ("tight2", 10.0, 1e-4),
+])
+def test_zeta_matches_continuum(name, mu, bound, request):
+    system = request.getfixturevalue(name)
+    cont = circle.continuum_zeta(system, complex(mu, 0.0))
+    value = wl.zeta_invariant(system, complex(mu, 0.0)).value
+    assert abs(value - cont) <= bound * abs(cont)
+
+
+def test_continuum_zeta_closed_forms(exact2, tight2):
+    # exact forms: nu-independent, tending to min h - max h = -2
+    assert circle.continuum_zeta(exact2, complex(10.0, 7.0)) == circle.continuum_zeta(
+        exact2, 10.0
+    )
+    assert circle.continuum_zeta(exact2, 200.0) == pytest.approx(-2.0, abs=1e-2)
+    c = tight2.c
+    assert circle.continuum_zeta(tight2, 10.0) == pytest.approx(
+        -np.pi * abs(c) / np.tanh(np.pi * 10.0 * abs(c)), rel=1e-15
+    )
+
+
+def test_zeta_past_tunnelling_horizon_leaves_continuum(exact4):
+    # at mu = 30 the tunnelling value of exact4 falls below the kernel
+    # threshold: the kernel is miscounted and the value is far off
+    z = complex(30.0, 0.0)
+    cont = circle.continuum_zeta(exact4, z)
+    assert abs(wl.zeta_invariant(exact4, z).value - cont) > 0.5 * abs(cont)
+
+
+# -- values-only spectrum --------------------------------------------------------
+
+
+def _uncached(system):
+    fresh = copy.copy(system)
+    fresh._zeta_cache, fresh._sigma_cache = {}, {}
+    return fresh
+
+
+@pytest.fixture(scope="module")
+def four_arc512():
+    return wl.CircleWittenSystem.from_arc_weights(
+        [0.3, 1.8, 0.3 + np.pi, 5.0], [1, 0, 1, 0], [-0.4, 1.0, -0.45, 1.1],
+        r=0.3, N=512,
+    )
+
+
+@pytest.mark.parametrize("name", ["tight2", "exact4", "shifted_c01", "four_arc512"])
+def test_singular_values_match_full_svd(name, request):
+    system = _uncached(request.getfixturevalue(name))
+    for z in (5.0, 10.0, 40.0, complex(10.0, 3.0)):
+        values = system.singular_values(z)
+        assert np.all(np.diff(values) >= 0)
+        data = system.zeta_data(z)
+        off = data.nonzero
+        rel = np.abs(values[off] - data.sigma[off]) / data.sigma[off]
+        assert rel.max() <= 1e-13
+
+
+def test_singular_values_share_zeta_data_sigma(tight2):
+    system = _uncached(tight2)
+    z = complex(12.0, 1.0)
+    values = system.singular_values(z)
+    assert system.singular_values(z) is values
+    data = system.zeta_data(z)
+    assert z not in system._sigma_cache
+    assert system.singular_values(z) is data.sigma
+
+
+def test_gap_and_betti_need_no_singular_vectors(tight2, exact2_small, monkeypatch):
+    def no_vectors(self, z):
+        raise AssertionError("singular vectors computed")
+
+    monkeypatch.setattr(circle.CircleWittenSystem, "spectrum", no_vectors)
+    tight, exact = _uncached(tight2), _uncached(exact2_small)
+    rep = circle.spectral_gap_report(tight, [5.0, 10.0, 20.0])
+    assert rep.small_counts == (1, 1, 1)
+    assert rep.slope_log_small < -0.1
+    assert wl.betti_novikov(tight, complex(10.0, 0.0)) == (0, 0)
+    assert wl.betti_novikov(exact, 5.0) == (1, 1)
+
+
 # -- exact trace identity -------------------------------------------------------
 
 
@@ -475,15 +562,19 @@ def test_zeta_cache_is_bounded_fifo(monkeypatch):
     # one delta_limit_report sweep: 3 strengths x 2 widths x the node count
     assert circle._ZETA_CACHE_SIZE >= 3 * 2 * len(zdist._X)
     monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
-    system = wl.CircleWittenSystem.from_standard_zeros(
-        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8
-    )
     zs = [complex(1.0, nu) for nu in range(8)]
-    for i, z in enumerate(zs):
-        data = system.zeta_data(z)
-        assert system.zeta_data(z) is data
-        assert len(system._zeta_cache) <= 3
-        assert list(system._zeta_cache) == zs[max(0, i - 2): i + 1]
+    # the full payloads and the values-only spectra are bounded alike
+    for method, cache in (("zeta_data", "_zeta_cache"),
+                          ("singular_values", "_sigma_cache")):
+        system = wl.CircleWittenSystem.from_standard_zeros(
+            [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8
+        )
+        for i, z in enumerate(zs):
+            data = getattr(system, method)(z)
+            assert getattr(system, method)(z) is data
+            held = getattr(system, cache)
+            assert len(held) <= 3
+            assert list(held) == zs[max(0, i - 2): i + 1]
 
 
 # -- torus -------------------------------------------------------------------------
@@ -548,6 +639,21 @@ def test_gap_exact_small_is_kernel(exact2_small):
     rep = circle.spectral_gap_report(exact2_small, [6.0, 10.0])
     # exact case: the only small eigenvalues are numerically zero
     assert all(m < 1e-12 for m in rep.max_small)
+
+
+def test_gap_leaves_out_topological_kernel(exact2_small, exact4):
+    # the Novikov Betti number (1 per degree for exact forms) is left out of
+    # max_small and the slope, not out of the count: an exact two-zero form
+    # has no tunnelling state and fits no slope
+    rep = circle.spectral_gap_report(exact2_small, [6.0, 10.0])
+    assert rep.small_counts == (1, 1)
+    assert rep.max_small == (0.0, 0.0)
+    assert rep.slope_log_small == -np.inf
+    rep = circle.spectral_gap_report(exact4, [5.0, 10.0])
+    assert rep.small_counts == (2, 2)
+    for mu, ms in zip(rep.mu_values, rep.max_small):
+        sigma = exact4.singular_values(mu)
+        assert ms == sigma[1] ** 2 > 1e3 * sigma[0] ** 2
 
 
 def test_sobolev_probe_uniform():
