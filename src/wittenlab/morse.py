@@ -12,11 +12,15 @@ finite-dimensional Hodge theory, runs the rank recursion, detects tightness,
 extracts the leading (equal-weight) part, bounds the nonzero small spectrum,
 evaluates the limit invariants of the zeta function, and solves the
 prescription equation for the limit value.
+
+A graph stores its edges once, as endpoint, sign and weight arrays in edge
+order, its outgoing edges grouped by source (compressed sparse rows).
 """
 
 from __future__ import annotations
 
-import io
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +87,15 @@ class InstantonGraph:
             order.append(vid)
         self.vertices = tuple(order)
         self.n = max(self.index_of.values(), default=0)
-        self.edges = []
-        # positions in ``edges`` of each vertex's outgoing edges
-        self._out = {v: [] for v in order}
+        self.by_degree = tuple(
+            tuple(v for v in self.vertices if self.index_of[v] == k)
+            for k in range(self.n + 1)
+        )
+        position = {v: i for i, v in enumerate(order)}
+        rows = []
         for p, q, sign, weight in edges:
-            if p not in self.index_of or q not in self.index_of:
+            i, j = position.get(p), position.get(q)
+            if i is None or j is None:
                 raise StructureError(f"edge ({p!r}, {q!r}) references unknown vertex")
             if self.index_of[p] != self.index_of[q] + 1:
                 raise StructureError(
@@ -101,60 +109,80 @@ class InstantonGraph:
                 raise StructureError(
                     f"edge ({p!r}, {q!r}) has nonnegative weight {weight}"
                 )
-            self._out[p].append(len(self.edges))
-            self.edges.append(GraphEdge(p, q, sign, weight))
-        self.edges = tuple(self.edges)
-        self.by_degree = tuple(
-            tuple(v for v in self.vertices if self.index_of[v] == k)
-            for k in range(self.n + 1)
-        )
+            rows.append((i, j, sign, weight))
+        src, dst, signs, weights = zip(*rows) if rows else [()] * 4
+        self._index = np.array([self.index_of[v] for v in order], dtype=np.intp)
+        self._src, self._dst = np.array(src, np.intp), np.array(dst, np.intp)
+        self._sign, self._weight = np.array(signs, np.int64), np.array(weights, float)
+        self._out_edges = np.argsort(self._src, kind="stable")
+        self._out_start = np.searchsorted(np.sort(self._src), np.arange(len(order) + 1))
+
+    @functools.cached_property
+    def edges(self):
+        """Tuple of GraphEdge, built from the arrays when first read."""
+        return tuple(GraphEdge(*row) for row in self._edge_rows())
+
+    def _edge_rows(self):
+        """(p, q, sign, weight) per edge, in edge order."""
+        v = self.vertices.__getitem__
+        return zip(map(v, self._src.tolist()), map(v, self._dst.tolist()),
+                   self._sign.tolist(), self._weight.tolist())
+
+    def _ends(self, i):
+        """(p, q) vertex ids of edge ``i``."""
+        return self.vertices[self._src[i]], self.vertices[self._dst[i]]
 
     @property
     def counts(self):
         return tuple(len(layer) for layer in self.by_degree)
 
+    def _costs(self, weights):
+        """Escape cost -max outgoing weight per vertex (0 at index 0)."""
+        top = self._index > 0
+        idle = top & (np.diff(self._out_start) == 0)
+        if idle.any():
+            v = self.vertices[np.argmax(idle)]
+            raise StructureError(f"vertex {v!r} of positive index has no outgoing edge")
+        costs = np.zeros(len(self.vertices))
+        w = np.asarray(weights, dtype=float)[self._out_edges]
+        costs[top] = -np.maximum.reduceat(w, self._out_start[:-1][top])
+        return costs
+
     def escape_costs(self, weights=None):
         """Escape cost -max outgoing weight of every positive-index vertex.
 
         ``weights``, aligned with ``edges``, replaces the edge weights."""
-        if weights is None:
-            weights = [e.weight for e in self.edges]
-        costs = {}
-        for v in self.vertices:
-            if self.index_of[v] == 0:
-                continue
-            out = self._out[v]
-            if not out:
-                raise StructureError(
-                    f"vertex {v!r} of positive index has no outgoing edge"
-                )
-            costs[v] = -max(weights[i] for i in out)
-        return costs
+        costs = self._costs(self._weight if weights is None else weights).tolist()
+        return {v: c for v, c in zip(self.vertices, costs) if self.index_of[v] > 0}
 
     def reweighted(self, new_weights, require_negative=True):
-        """Same combinatorics with new per-edge weights (parallel order kept)."""
-        if len(new_weights) != len(self.edges):
+        """Same combinatorics with new per-edge weights (parallel order kept);
+        the vertex tables, endpoints and outgoing-edge index are shared."""
+        if len(new_weights) != len(self._weight):
             raise StructureError("one weight per edge required")
-        edges = [
-            (e.p, e.q, e.sign, w) for e, w in zip(self.edges, new_weights)
-        ]
-        return InstantonGraph(
-            [(v, self.index_of[v]) for v in self.vertices],
-            edges,
-            require_negative=require_negative,
-        )
+        weights = np.array(new_weights, dtype=float)
+        if require_negative and not np.all(weights < 0):
+            i = np.argmin(weights < 0)
+            p, q = self._ends(i)
+            raise StructureError(
+                f"edge ({p!r}, {q!r}) has nonnegative weight {weights[i]}"
+            )
+        graph = copy.copy(self)
+        graph.__dict__.pop("edges", None)
+        graph._weight = weights
+        return graph
 
     # -- plain-text format: "v <id> <index>" and "e <p> <q> <sign> <weight>" --
 
     def dumps(self) -> str:
-        buf = io.StringIO()
+        lines = []
         for v in self.vertices:
             if any(ch.isspace() for ch in str(v)):
                 raise DomainError(f"vertex id {v!r} not serializable")
-            buf.write(f"v {v} {self.index_of[v]}\n")
-        for e in self.edges:
-            buf.write(f"e {e.p} {e.q} {e.sign:+d} {e.weight!r}\n")
-        return buf.getvalue()
+            lines.append(f"v {v} {self.index_of[v]}\n")
+        sign = {1: "+1", -1: "-1"}
+        lines += [f"e {p} {q} {sign[s]} {w!r}\n" for p, q, s, w in self._edge_rows()]
+        return "".join(lines)
 
     def dump(self, path):
         with open(path, "w") as fh:
@@ -163,17 +191,14 @@ class InstantonGraph:
     @classmethod
     def loads(cls, text, require_negative=True):
         vertices, edges = [], []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v" and len(parts) == 3:
-                vertices.append((parts[1], int(parts[2])))
-            elif parts[0] == "e" and len(parts) == 5:
+        lines = text.splitlines()
+        for lineno, parts in enumerate(map(str.split, lines), 1):
+            if len(parts) == 5 and parts[0] == "e":
                 edges.append((parts[1], parts[2], int(parts[3]), float(parts[4])))
-            else:
-                raise DomainError(f"bad graph line {lineno}: {raw!r}")
+            elif len(parts) == 3 and parts[0] == "v":
+                vertices.append((parts[1], int(parts[2])))
+            elif parts and not parts[0].startswith("#"):
+                raise DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
         return cls(vertices, edges, require_negative=require_negative)
 
     @classmethod
@@ -183,46 +208,51 @@ class InstantonGraph:
 
 
 def _edge_matrix(graph, k, entry):
-    """Matrix of degree-k differential with per-edge entries from ``entry``."""
-    rows = graph.by_degree[k + 1]
-    cols = graph.by_degree[k]
-    row_pos = {v: i for i, v in enumerate(rows)}
-    col_pos = {v: i for i, v in enumerate(cols)}
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for e in graph.edges:
-        if graph.index_of[e.q] == k:
-            mat[row_pos[e.p], col_pos[e.q]] += entry(e)
+    """Matrix of the degree-k differential: ``entry(sign, weight)`` maps the
+    level's edge arrays to entries, summed over parallel edges in edge order."""
+    at = np.flatnonzero(graph._index[graph._dst] == k)
+    # position of each vertex among the vertices of its index
+    row, col = (np.cumsum(graph._index == j) - 1 for j in (k + 1, k))
+    mat = np.zeros((row[-1] + 1, col[-1] + 1), dtype=complex)
+    np.add.at(mat, (row[graph._src[at]], col[graph._dst[at]]),
+              entry(graph._sign[at], graph._weight[at]))
     return mat
 
 
 def _check_squares_combinatorial(graph):
     """Exact d^2 = 0 certificate: for every two-step pair (r, q), the signed
     edge pairs must cancel within groups of equal total weight."""
-    # accumulate signed counts of weight-pairs per endpoint pair
-    table = {}
-    for e1 in graph.edges:  # e1: p -> q at level (k+1 -> k)
-        for i in graph._out[e1.q]:
-            e2 = graph.edges[i]  # e2: q -> r
-            key = (e1.p, e2.q)
-            table.setdefault(key, []).append((e1.weight + e2.weight, e1.sign * e2.sign))
-    for (p, r), items in table.items():
-        items.sort(key=lambda t: t[0])
-        i = 0
-        while i < len(items):
-            j = i
-            total = 0
-            while (
-                j < len(items)
-                and abs(items[j][0] - items[i][0]) <= _WEIGHT_EQ_TOL
-            ):
-                total += items[j][1]
-                j += 1
-            if total != 0:
-                raise NotAComplex(
-                    f"two-step paths {p!r} -> {r!r} do not cancel at weight "
-                    f"{items[i][0]:.6g} (signed count {total})"
-                )
-            i = j
+    # every path e1: p -> q, e2: q -> r, in edge order of e1 and then of e2
+    start, mid, nv = graph._out_start, graph._dst, len(graph.vertices)
+    fan = np.diff(start)[mid]
+    e1 = np.repeat(np.arange(len(mid)), fan)
+    skip = np.repeat(start[mid] - np.cumsum(fan) + fan, fan)
+    e2 = graph._out_edges[np.arange(len(e1)) + skip]
+    # endpoint pairs in order of first appearance, weights ascending within
+    keys, seen, pair = np.unique(graph._src[e1] * nv + mid[e2], return_index=True,
+                                 return_inverse=True)
+    weight = graph._weight[e1] + graph._weight[e2]
+    order = np.lexsort((weight, np.argsort(np.argsort(seen))[pair]))
+    keys, weights = keys[pair[order]].tolist(), weight[order].tolist()
+    signs = (graph._sign[e1] * graph._sign[e2])[order].tolist()
+    i = 0
+    while i < len(weights):
+        j = i
+        total = 0
+        while (
+            j < len(weights)
+            and keys[j] == keys[i]
+            and abs(weights[j] - weights[i]) <= _WEIGHT_EQ_TOL
+        ):
+            total += signs[j]
+            j += 1
+        if total != 0:
+            raise NotAComplex(
+                f"two-step paths {graph.vertices[keys[i] // nv]!r} -> "
+                f"{graph.vertices[keys[i] % nv]!r} do not cancel at weight "
+                f"{weights[i]:.6g} (signed count {total})"
+            )
+        i = j
 
 
 def build_differential(graph, z) -> GradedMatrixComplex:
@@ -235,7 +265,7 @@ def build_differential(graph, z) -> GradedMatrixComplex:
     _check_squares_combinatorial(graph)
     z = complex(z)
     mats = [
-        _edge_matrix(graph, k, lambda e: e.sign * np.exp(z * e.weight))
+        _edge_matrix(graph, k, lambda s, w: s * np.exp(z * w))
         for k in range(graph.n)
     ]
     return GradedMatrixComplex(
@@ -326,7 +356,8 @@ def hodge_ranks_numeric(graph, z) -> HodgeData:
 
     Ranks come from singular values with per-matrix relative thresholds, so
     they stay correct even when the whole differential is exponentially
-    small.  Projections are Hermitian idempotents to 1e-10.
+    small.  Projections are Hermitian idempotents to 1e-10 times the degree
+    size, in the Frobenius norm.
     """
     cx = build_differential(graph, z)
     kernel, imd, imdelta, projs = [], [], [], []
@@ -343,9 +374,9 @@ def hodge_ranks_numeric(graph, z) -> HodgeData:
         p2 = v_out @ v_out.conj().T
         p0 = np.eye(nk) - p1 - p2
         for name, p in (("harmonic", p0), ("im_d", p1), ("im_delta", p2)):
-            if nk and np.linalg.norm(p @ p - p, 2) > _PROJ_TOL * max(nk, 1):
+            if nk and np.linalg.norm(p @ p - p) > _PROJ_TOL * max(nk, 1):
                 raise StateError(f"projection {name} not idempotent in degree {k}")
-            if nk and np.linalg.norm(p - p.conj().T, 2) > _PROJ_TOL * max(nk, 1):
+            if nk and np.linalg.norm(p - p.conj().T) > _PROJ_TOL * max(nk, 1):
                 raise StateError(f"projection {name} not Hermitian in degree {k}")
         kernel.append(nk - rank_in - rank_out)
         imd.append(rank_in)
@@ -422,9 +453,9 @@ def leading_complex(graph) -> LeadingComplex:
             _edge_matrix(
                 graph,
                 k,
-                lambda e, ak=ak: e.sign
-                if abs(e.weight + ak) <= _WEIGHT_EQ_TOL * (1.0 + ak)
-                else 0.0,
+                lambda s, w, ak=ak: np.where(
+                    np.abs(w + ak) <= _WEIGHT_EQ_TOL * (1.0 + ak), s, 0.0
+                ),
             )
         )
     for k in range(len(mats) - 1):
@@ -438,7 +469,7 @@ def shifted_differential(graph, z, k, a_k):
     """exp(a_k z) d_{z,k}: the overflow-free normal form of the degree-k
     differential of a tight graph (entries exp(z (a_k + weight)))."""
     z = complex(z)
-    return _edge_matrix(graph, k, lambda e: e.sign * np.exp(z * (e.weight + a_k)))
+    return _edge_matrix(graph, k, lambda s, w: s * np.exp(z * (w + a_k)))
 
 
 def leading_decay_fit(graph, mu_values):
@@ -629,11 +660,12 @@ def graph_tensor(ga, gb) -> InstantonGraph:
         for vb in gb.vertices:
             verts.append((pair(va, vb), ga.index_of[va] + gb.index_of[vb]))
     edges = []
-    for e in ga.edges:
+    for p, q, sign, weight in ga._edge_rows():
         for vb in gb.vertices:
-            edges.append((pair(e.p, vb), pair(e.q, vb), e.sign, e.weight))
+            edges.append((pair(p, vb), pair(q, vb), sign, weight))
+    rows = list(gb._edge_rows())
     for va in ga.vertices:
         koszul = (-1) ** ga.index_of[va]
-        for e in gb.edges:
-            edges.append((pair(va, e.p), pair(va, e.q), koszul * e.sign, e.weight))
+        for p, q, sign, weight in rows:
+            edges.append((pair(va, p), pair(va, q), koszul * sign, weight))
     return InstantonGraph(verts, edges)

@@ -12,12 +12,16 @@ with all weights strictly negative.  Stages run bottom-up: stage k measures
 b_p = -max current outgoing weight for each index-k vertex p, raises the
 potential of p by a_k - b_p, and raises every higher-index potential by the
 constant a_k - min_p b_p, which keeps all later stages feasible.
+
+Stages and certificates run on the graph's edge arrays, with the float
+operations of the edge-by-edge definition in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -59,9 +63,7 @@ class PrescriptionProblem:
             if b < a - _EQ_TOL:
                 raise DomainError("targets must be ascending: a_1 <= ... <= a_n")
         graph.escape_costs()  # a positive-index vertex needs an edge
-        self.raw_amplitude = max(
-            (abs(e.weight) for e in graph.edges), default=0.0
-        )
+        self.raw_amplitude = max(np.abs(graph._weight).tolist(), default=0.0)
 
 
 def choose_constants(problem_or_graph, a1=None) -> float:
@@ -75,7 +77,7 @@ def choose_constants(problem_or_graph, a1=None) -> float:
         amp = problem_or_graph.raw_amplitude
         a1 = problem_or_graph.targets[0] if a1 is None else float(a1)
     else:
-        amp = max((abs(e.weight) for e in problem_or_graph.edges), default=0.0)
+        amp = max(np.abs(problem_or_graph._weight).tolist(), default=0.0)
         if a1 is None:
             raise DomainError("a1 required when passing a bare graph")
         a1 = float(a1)
@@ -98,14 +100,13 @@ def initialize_weights(problem: PrescriptionProblem, c=None):
     if c is None:
         c = choose_constants(problem)
     a1 = problem.targets[0]
-    shifted = []
-    for e in problem.graph.edges:
-        w = e.weight - c
-        if not (-a1 < w < 0.0):
-            raise InvariantViolation(
-                f"initialized weight {w} outside (-{a1}, 0); constants bug"
-            )
-        shifted.append(w)
+    shifted = problem.graph._weight - c
+    inside = (-a1 < shifted) & (shifted < 0.0)
+    if not inside.all():
+        raise InvariantViolation(
+            f"initialized weight {shifted[np.argmin(inside)].item()} outside "
+            f"(-{a1}, 0); constants bug"
+        )
     return problem.graph.reweighted(shifted), c
 
 
@@ -134,38 +135,37 @@ def prescribe_stages(graph: InstantonGraph, targets):
     update is zero, which makes the procedure idempotent).
     """
     targets = tuple(float(a) for a in targets)
-    phi = {v: 0.0 for v in graph.vertices}
-    current = list(e.weight for e in graph.edges)
-    costs = graph.escape_costs(current)
+    phi = np.zeros(len(graph.vertices))
+    current = graph._weight
+    costs = graph._costs(current)
     stages = []
     for k in range(1, graph.n + 1):
         a_k = targets[k - 1]
-        b = {v: costs[v] for v in graph.by_degree[k]}
-        for v, b_v in b.items():
-            if b_v > a_k + _EQ_TOL:
-                raise InvariantViolation(
-                    f"stage {k}: b_p = {b_v} exceeds target {a_k} at {v!r}",
-                    stage=k,
-                )
-        b_min = min(b.values())
-        for v in graph.by_degree[k]:
-            phi[v] += a_k - b[v]
-        for v in graph.vertices:
-            if graph.index_of[v] > k:
-                phi[v] += a_k - b_min
-        for i, e in enumerate(graph.edges):
-            current[i] = e.weight + phi[e.q] - phi[e.p]
-        stages.append(StageTrace(k, b, b_min))
+        level = graph._index == k
+        b = costs[level]
+        over = b > a_k + _EQ_TOL
+        if over.any():
+            i = np.argmax(over)
+            raise InvariantViolation(
+                f"stage {k}: b_p = {b[i].item()} exceeds target {a_k} at "
+                f"{graph.by_degree[k][i]!r}", stage=k,
+            )
+        b_min = b.min().item()
+        phi[level] += a_k - b
+        phi[graph._index > k] += a_k - b_min
+        current = graph._weight + phi[graph._dst] - phi[graph._src]
+        stages.append(StageTrace(k, dict(zip(graph.by_degree[k], b.tolist())), b_min))
         # after stage k every settled level sits exactly at its target and
         # edges from level k+1 stay above -a_k, keeping later stages feasible
-        costs = graph.escape_costs(current)
-        for v in graph.by_degree[k]:
-            if abs(costs[v] - a_k) > _EQ_TOL * (1.0 + a_k):
-                raise InvariantViolation(
-                    f"stage {k} failed to set the level at {v!r}", stage=k
-                )
+        costs = graph._costs(current)
+        off = np.abs(costs[level] - a_k) > _EQ_TOL * (1.0 + a_k)
+        if off.any():
+            raise InvariantViolation(
+                f"stage {k} failed to set the level at "
+                f"{graph.by_degree[k][np.argmax(off)]!r}", stage=k
+            )
     final = graph.reweighted(current)
-    return phi, final, tuple(stages)
+    return dict(zip(graph.vertices, phi.tolist())), final, tuple(stages)
 
 
 def prescribe(problem: PrescriptionProblem) -> PrescriptionResult:
@@ -187,7 +187,7 @@ def reversed_problem(problem: PrescriptionProblem) -> PrescriptionProblem:
     rev_graph = InstantonGraph(
         [(v, problem.graph.n - problem.graph.index_of[v])
          for v in problem.graph.vertices],
-        [(e.q, e.p, e.sign, e.weight) for e in problem.graph.edges],
+        [(q, p, sign, w) for p, q, sign, w in problem.graph._edge_rows()],
         require_negative=False,
     )
     return PrescriptionProblem(rev_graph, tuple(reversed(problem.targets)))
@@ -202,7 +202,7 @@ def prescribe_descending(problem: PrescriptionProblem):
     """
     rev = reversed_problem(problem)
     res = prescribe(rev)
-    mapped = problem.graph.reweighted([e.weight for e in res.graph.edges])
+    mapped = problem.graph.reweighted(res.graph._weight)
     return res, mapped
 
 
@@ -238,11 +238,16 @@ def _edge_mismatch(raw, final):
     ``final`` stop pairing up position by position: different endpoints, or
     an edge that only one list has.  The problem's edge is named where there
     is one.  None when the lists pair up."""
-    for e_raw, e_new in zip_longest(raw.edges, final.edges):
-        if e_raw is None or e_new is None or (e_raw.p, e_raw.q) != (e_new.p, e_new.q):
-            e = e_new if e_raw is None else e_raw
-            return (e.p, e.q)
-    return None
+    # final's endpoints as positions into raw's vertices (-1: not a vertex)
+    position = {v: i for i, v in enumerate(raw.vertices)}
+    renamed = np.array([position.get(v, -1) for v in final.vertices], dtype=np.intp)
+    m = min(len(raw._src), len(final._src))
+    differs = np.flatnonzero((raw._src[:m] != renamed[final._src[:m]])
+                             | (raw._dst[:m] != renamed[final._dst[:m]]))
+    i = differs[0] if differs.size else m
+    if i == len(raw._src) == len(final._src):
+        return None
+    return (raw if i < len(raw._src) else final)._ends(i)
 
 
 def verify_prescription(problem: PrescriptionProblem,
@@ -258,19 +263,20 @@ def verify_prescription(problem: PrescriptionProblem,
 
     exactness = counterexample is None
     if exactness:
-        for e_raw, e_new in zip(graph.edges, final.edges):
-            expected = e_raw.weight - result.c + result.potential[e_raw.q] \
-                - result.potential[e_raw.p]
-            if abs(e_new.weight - expected) > _EXACT_TOL * (1.0 + abs(expected)):
-                exactness = False
-                counterexample = (e_raw.p, e_raw.q)
-                break
+        missing = np.array([v not in result.potential for v in graph.vertices], bool)
+        phi = np.array([result.potential.get(v, 0.0) for v in graph.vertices], float)
+        expected = graph._weight - result.c + phi[graph._dst] - phi[graph._src]
+        off = np.abs(final._weight - expected) > _EXACT_TOL * (1.0 + np.abs(expected))
+        off |= missing[graph._dst] | missing[graph._src]
+        if off.any():
+            p, q = graph._ends(np.argmax(off))
+            result.potential[q], result.potential[p]  # KeyError if one is missing
+            exactness = False
+            counterexample = (p, q)
 
-    negativity = all(e.weight < 0 for e in final.edges)
+    negativity = bool(np.all(final._weight < 0))
     if not negativity and counterexample is None:
-        counterexample = next(
-            (e.p, e.q) for e in final.edges if not e.weight < 0
-        )
+        counterexample = final._ends(np.argmin(final._weight < 0))
 
     costs = final.escape_costs()
     per_index = {}
@@ -300,30 +306,32 @@ def potential_consistency(problem, result):
     bad = _edge_mismatch(problem.graph, result.graph)
     if bad is not None:
         return False, bad
-    deltas = []
-    incident = {v: [] for v in problem.graph.vertices}
-    for e_raw, e_new in zip(problem.graph.edges, result.graph.edges):
-        d = e_new.weight - e_raw.weight + result.c  # psi(q) - psi(p)
-        deltas.append((e_raw.p, e_raw.q, d))
-        incident[e_raw.p].append((e_raw.q, d))
-        incident[e_raw.q].append((e_raw.p, -d))
-    # BFS a potential along a spanning forest, then check every edge
+    graph = problem.graph
+    d = result.graph._weight - graph._weight + result.c  # psi(q) - psi(p)
+    # incidence lists in edge order: (q, d) at p and (p, -d) at q
+    ends = np.concatenate([graph._src, graph._dst])
+    order = np.argsort(ends * len(d) + np.tile(np.arange(len(d)), 2))
+    start = np.searchsorted(ends[order], np.arange(len(graph.vertices) + 1)).tolist()
+    other = np.concatenate([graph._dst, graph._src])[order].tolist()
+    step = np.concatenate([d, -d])[order].tolist()
+    # walk a potential along a spanning forest, then check every edge
     # against it, parallel edges included
-    psi = {}
-    for root in problem.graph.vertices:
-        if root in psi:
+    psi = [None] * len(graph.vertices)
+    for root in range(len(psi)):
+        if psi[root] is not None:
             continue
         psi[root] = 0.0
         frontier = [root]
         while frontier:
             x = frontier.pop()
-            for y, d in incident[x]:
-                if y not in psi:
-                    psi[y] = psi[x] + d
+            for y, dy in zip(other[start[x]:start[x + 1]], step[start[x]:start[x + 1]]):
+                if psi[y] is None:
+                    psi[y] = psi[x] + dy
                     frontier.append(y)
-    for p, q, d in deltas:
-        if abs((psi[q] - psi[p]) - d) > _EXACT_TOL * (1.0 + abs(d)):
-            return False, (p, q)
+    psi = np.array(psi)
+    off = np.abs(psi[graph._dst] - psi[graph._src] - d) > _EXACT_TOL * (1.0 + np.abs(d))
+    if off.any():
+        return False, graph._ends(np.argmax(off))
     return True, None
 
 
@@ -365,7 +373,7 @@ def random_feasible_problem(rng):
                     sign = -1 if rng.random() < 0.5 else 1
                     edges.append((p, q, sign, w))
     graph = InstantonGraph(vertices, edges, require_negative=False)
-    a = max(abs(e.weight) for e in graph.edges)
+    a = max(abs(e[3]) for e in edges)
     a1 = 3.0 * a + float(rng.uniform(0.5, 2.0))
     c = 0.5 * (a + a1)
     bound = a + c

@@ -170,15 +170,25 @@ def torus_function_weight(sys_a, sys_b):
 
 
 def escape_costs_scan(graph, weights=None):
-    """-max outgoing weight per positive-index vertex, scanning every edge
-    once per vertex (weights aligned with graph.edges)."""
+    """-max outgoing weight per positive-index vertex, from one scan of the
+    edges that collects each vertex's outgoing weights (weights aligned with
+    graph.edges)."""
+    from wittenlab.errors import StructureError
+
     if weights is None:
         weights = [e.weight for e in graph.edges]
+    out = {v: [] for v in graph.vertices}
+    for e, w in zip(graph.edges, weights):
+        out[e.p].append(w)
     costs = {}
     for v in graph.vertices:
         if graph.index_of[v] == 0:
             continue
-        costs[v] = -max(w for e, w in zip(graph.edges, weights) if e.p == v)
+        if not out[v]:
+            raise StructureError(
+                f"vertex {v!r} of positive index has no outgoing edge"
+            )
+        costs[v] = -max(out[v])
     return costs
 
 
@@ -193,3 +203,188 @@ def pairing_gl129(system, mu, specs):
     nodes, weights = radius * x, radius * w
     zeta = np.array([zeta_invariant(system, complex(mu, nu)).value for nu in nodes])
     return [weights @ (s.hat(nodes) * zeta) / (2.0 * np.pi) for s in specs]
+
+
+# -- per-edge reference loops for instanton graphs and the prescription -----
+# Each walks ``graph.edges`` one GraphEdge at a time in edge order, with the
+# float operations in the order the array code must reproduce bitwise.
+
+
+def prescribe_loop(problem):
+    """Shift by -C = -(A + a_1)/2, then the staged potential updates, one
+    edge at a time.  Returns (c, potential, final weights, stages) with
+    stages as (k, b, b_min)."""
+    from wittenlab.errors import InvariantViolation
+
+    graph, targets = problem.graph, problem.targets
+    amp = max((abs(e.weight) for e in graph.edges), default=0.0)
+    c = 0.5 * (amp + targets[0])
+    current = []
+    for e in graph.edges:
+        w = e.weight - c
+        if not (-targets[0] < w < 0.0):
+            raise InvariantViolation(
+                f"initialized weight {w} outside (-{targets[0]}, 0); constants bug"
+            )
+        current.append(w)
+    return (c,) + stages_loop(graph, current, targets)
+
+
+def stages_loop(graph, weights, targets):
+    """Staged potential updates on ``weights`` (aligned with graph.edges);
+    returns (potential, final weights, stages)."""
+    from wittenlab.errors import InvariantViolation
+
+    start = list(weights)
+    current = list(weights)
+    phi = {v: 0.0 for v in graph.vertices}
+    costs = escape_costs_scan(graph, current)
+    stages = []
+    for k in range(1, graph.n + 1):
+        a_k = float(targets[k - 1])
+        b = {v: costs[v] for v in graph.by_degree[k]}
+        for v, b_v in b.items():
+            if b_v > a_k + 1e-9:
+                raise InvariantViolation(
+                    f"stage {k}: b_p = {b_v} exceeds target {a_k} at {v!r}",
+                    stage=k,
+                )
+        b_min = min(b.values())
+        for v in graph.by_degree[k]:
+            phi[v] += a_k - b[v]
+        for v in graph.vertices:
+            if graph.index_of[v] > k:
+                phi[v] += a_k - b_min
+        for i, e in enumerate(graph.edges):
+            current[i] = start[i] + phi[e.q] - phi[e.p]
+        stages.append((k, b, b_min))
+        costs = escape_costs_scan(graph, current)
+        for v in graph.by_degree[k]:
+            if abs(costs[v] - a_k) > 1e-9 * (1.0 + a_k):
+                raise InvariantViolation(
+                    f"stage {k} failed to set the level at {v!r}", stage=k
+                )
+    return phi, current, stages
+
+
+def edge_mismatch_loop(raw, final):
+    from itertools import zip_longest
+
+    for e_raw, e_new in zip_longest(raw.edges, final.edges):
+        if e_raw is None or e_new is None or (e_raw.p, e_raw.q) != (e_new.p, e_new.q):
+            e = e_new if e_raw is None else e_raw
+            return (e.p, e.q)
+    return None
+
+
+def certificate_loop(problem, result):
+    """(exactness, negativity, per_index, costs_ok, counterexample) of the
+    certificate, recomputed edge by edge from the claimed final graph."""
+    graph, final = problem.graph, result.graph
+    counterexample = edge_mismatch_loop(graph, final)
+    exactness = counterexample is None
+    if exactness:
+        for e_raw, e_new in zip(graph.edges, final.edges):
+            expected = e_raw.weight - result.c + result.potential[e_raw.q] \
+                - result.potential[e_raw.p]
+            if abs(e_new.weight - expected) > 1e-12 * (1.0 + abs(expected)):
+                exactness = False
+                counterexample = (e_raw.p, e_raw.q)
+                break
+    negativity = all(e.weight < 0 for e in final.edges)
+    if not negativity and counterexample is None:
+        counterexample = next((e.p, e.q) for e in final.edges if not e.weight < 0)
+    costs = escape_costs_scan(final)
+    per_index = {}
+    costs_ok = True
+    for k in range(1, graph.n + 1):
+        target = problem.targets[k - 1]
+        off = [
+            v for v in graph.by_degree[k]
+            if not abs(costs[v] - target) <= 1e-9 * (1.0 + target)
+        ]
+        per_index[k] = None if off else target
+        if off:
+            costs_ok = False
+            if counterexample is None:
+                counterexample = off[0]
+    return exactness, negativity, per_index, costs_ok, counterexample
+
+
+def consistency_loop(problem, result):
+    """Cycle-sum exactness: a potential walked along a spanning forest
+    (incidence lists in edge order, last-in first-out), then every edge
+    checked against it."""
+    bad = edge_mismatch_loop(problem.graph, result.graph)
+    if bad is not None:
+        return False, bad
+    deltas = []
+    incident = {v: [] for v in problem.graph.vertices}
+    for e_raw, e_new in zip(problem.graph.edges, result.graph.edges):
+        d = e_new.weight - e_raw.weight + result.c
+        deltas.append((e_raw.p, e_raw.q, d))
+        incident[e_raw.p].append((e_raw.q, d))
+        incident[e_raw.q].append((e_raw.p, -d))
+    psi = {}
+    for root in problem.graph.vertices:
+        if root in psi:
+            continue
+        psi[root] = 0.0
+        frontier = [root]
+        while frontier:
+            x = frontier.pop()
+            for y, d in incident[x]:
+                if y not in psi:
+                    psi[y] = psi[x] + d
+                    frontier.append(y)
+    for p, q, d in deltas:
+        if abs((psi[q] - psi[p]) - d) > 1e-12 * (1.0 + abs(d)):
+            return False, (p, q)
+    return True, None
+
+
+def dumps_loop(graph):
+    """The plain-text graph format, one vertex and one edge per line."""
+    lines = [f"v {v} {graph.index_of[v]}\n" for v in graph.vertices]
+    lines += [f"e {e.p} {e.q} {e.sign:+d} {e.weight!r}\n" for e in graph.edges]
+    return "".join(lines)
+
+
+def edge_matrix_loop(graph, k, entry):
+    """Degree-k matrix (rows index k+1) with per-edge entries ``entry(e)``,
+    accumulated over parallel edges in edge order."""
+    rows = {v: i for i, v in enumerate(graph.by_degree[k + 1])}
+    cols = {v: i for i, v in enumerate(graph.by_degree[k])}
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for e in graph.edges:
+        if e.q in cols:
+            mat[rows[e.p], cols[e.q]] += entry(e)
+    return mat
+
+
+def squares_loop(graph):
+    """d^2 = 0 certificate by enumeration: signed two-step paths p -> q -> r
+    grouped by endpoints (in order of first appearance), sorted by total
+    weight, must cancel within each group of weights 1e-9 from its first.
+    Returns None or (p, r, weight, signed count) of the first failure."""
+    out = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.p].append(e)
+    table = {}
+    for e1 in graph.edges:
+        for e2 in out[e1.q]:
+            table.setdefault((e1.p, e2.q), []).append(
+                (e1.weight + e2.weight, e1.sign * e2.sign)
+            )
+    for (p, r), items in table.items():
+        items.sort(key=lambda t: t[0])
+        i = 0
+        while i < len(items):
+            j, total = i, 0
+            while j < len(items) and abs(items[j][0] - items[i][0]) <= 1e-9:
+                total += items[j][1]
+                j += 1
+            if total != 0:
+                return p, r, items[i][0], total
+            i = j
+    return None

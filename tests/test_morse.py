@@ -10,7 +10,7 @@ from wittenlab.errors import (
 )
 from wittenlab.morse import InstantonGraph
 
-from oracles import brute_ranks
+from oracles import brute_ranks, edge_matrix_loop
 
 
 def two_vertex_graph(w1=-0.45, w2=-2.2, s1=1, s2=-1):
@@ -271,24 +271,13 @@ def test_z_invariants_requires_tight():
         morse.z_invariants(g, (0, 2))
 
 
-def _edge_sum(graph, k, entry):
-    """Degree-k matrix (rows index k+1) with per-edge entries from ``entry``."""
-    rows = {v: i for i, v in enumerate(graph.by_degree[k + 1])}
-    cols = {v: i for i, v in enumerate(graph.by_degree[k])}
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for e in graph.edges:
-        if e.q in cols:
-            mat[rows[e.p], cols[e.q]] += entry(e)
-    return mat
-
-
 def _insertion_supertrace(graph, z, insertion):
     """sum_k (-1)^k Tr(X_k d_z^+ P^1_k); pinv(d) already vanishes off the
     image, so d_z^+ P^1_k = pinv(d_{z,k-1})."""
     total = 0.0
     for k in range(1, graph.n + 1):
-        d = _edge_sum(graph, k - 1, lambda e: e.sign * np.exp(z * e.weight))
-        x = _edge_sum(graph, k - 1, lambda e: insertion(e, z))
+        d = edge_matrix_loop(graph, k - 1, lambda e: e.sign * np.exp(z * e.weight))
+        x = edge_matrix_loop(graph, k - 1, lambda e: insertion(e, z))
         total += (-1) ** k * np.trace(x @ np.linalg.pinv(d, rcond=1e-13)).real
     return total
 
