@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,30 @@ __all__ = [
 
 _WEIGHT_EQ_TOL = 1e-9
 _PROJ_TOL = 1e-10
+# what int(), float(), a dict lookup or unpacking raise on a bad entry
+_CONVERSION_ERRORS = (ArithmeticError, TypeError, ValueError)
+
+
+def _convert(stage, fn, *columns):
+    """``fn`` over the columns, entry by entry: (values, None), or the values
+    before the first entry that raises and (its position, ``stage``, the
+    exception)."""
+    try:
+        return list(map(fn, *columns)), None
+    except _CONVERSION_ERRORS:
+        pass  # find the entry again, outside this handler, so no context is chained
+    values = []
+    for args in zip(*columns):
+        try:
+            values.append(fn(*args))
+        except _CONVERSION_ERRORS as exc:
+            return values, (len(values), stage, exc)
+    return values, None
+
+
+def _edge_row(row):
+    p, q, sign, weight = row
+    return p, q, sign, weight
 
 
 @dataclass(frozen=True)
@@ -72,11 +97,31 @@ class InstantonGraph:
     Weights are strictly negative for a genuine descent flow; raw graphs fed
     to the reweighting algorithm may carry weights of any sign, which is
     allowed by ``require_negative=False``.
+
+    The constructor and :meth:`loads` hand the edges as columns to one
+    validator.  It raises what checking the edges one at a time would: the
+    first faulty edge, and on it the first failing check in the order
+    unknown vertex, index drop, sign, weight.
     """
 
     def __init__(self, vertices, edges, require_negative=True):
+        self._set_vertices(vertices)
+        rows = list(edges)
+        try:
+            src, dst, signs, weights = zip(*rows, strict=True) if rows else [()] * 4
+            failed = []
+        except (TypeError, ValueError):
+            # a row that does not unpack into four ends the columns there
+            rows, fault = _convert(0, _edge_row, rows)
+            src, dst, signs, weights = zip(*rows) if rows else [()] * 4
+            failed = [fault]
+        signs, sign_fault = _convert(5, int, signs)
+        weights, weight_fault = _convert(7, float, weights)
+        self._set_edges(src, dst, signs, weights, require_negative,
+                        failed + [sign_fault, weight_fault])
+
+    def _set_vertices(self, vertices):
         self.index_of = {}
-        order = []
         for vid, idx in vertices:
             idx = int(idx)
             if vid in self.index_of:
@@ -84,38 +129,54 @@ class InstantonGraph:
             if idx < 0:
                 raise StructureError("vertex index must be nonnegative")
             self.index_of[vid] = idx
-            order.append(vid)
-        self.vertices = tuple(order)
+        self.vertices = tuple(self.index_of)
         self.n = max(self.index_of.values(), default=0)
         self.by_degree = tuple(
             tuple(v for v in self.vertices if self.index_of[v] == k)
             for k in range(self.n + 1)
         )
-        position = {v: i for i, v in enumerate(order)}
-        rows = []
-        for p, q, sign, weight in edges:
-            i, j = position.get(p), position.get(q)
-            if i is None or j is None:
-                raise StructureError(f"edge ({p!r}, {q!r}) references unknown vertex")
-            if self.index_of[p] != self.index_of[q] + 1:
-                raise StructureError(
-                    f"edge ({p!r}, {q!r}) must drop the index by exactly 1"
-                )
-            sign = int(sign)
-            if sign not in (-1, 1):
-                raise StructureError("edge sign must be +1 or -1")
-            weight = float(weight)
-            if require_negative and not weight < 0:
-                raise StructureError(
-                    f"edge ({p!r}, {q!r}) has nonnegative weight {weight}"
-                )
-            rows.append((i, j, sign, weight))
-        src, dst, signs, weights = zip(*rows) if rows else [()] * 4
-        self._index = np.array([self.index_of[v] for v in order], dtype=np.intp)
-        self._src, self._dst = np.array(src, np.intp), np.array(dst, np.intp)
-        self._sign, self._weight = np.array(signs, np.int64), np.array(weights, float)
-        self._out_edges = np.argsort(self._src, kind="stable")
-        self._out_start = np.searchsorted(np.sort(self._src), np.arange(len(order) + 1))
+        self._index = np.array(list(self.index_of.values()), dtype=np.intp)
+
+    def _set_edges(self, src, dst, signs, weights, require_negative, failed=()):
+        """Check the edge columns and store them with the out-edge index.
+
+        ``signs`` and ``weights`` are converted; ``failed`` holds the
+        (edge, stage, error) of conversions that stopped at that edge, each
+        column then ending there.  The first fault in (edge, stage) order is
+        raised.  The stages of one edge: 0 unpacking its row, 1 and 2
+        looking up its ends, 3 unknown vertex, 4 index drop, 5 sign
+        conversion, 6 sign in {-1, +1}, 7 weight conversion and 8, when
+        asked, negativity.
+        """
+        nv = len(self.vertices)
+        position = {v: i for i, v in enumerate(self.vertices)}
+        i, fault_p = _convert(1, position.get, src, itertools.repeat(nv))
+        j, fault_q = _convert(2, position.get, dst, itertools.repeat(nv))
+        n = min(len(i), len(j))
+        i, j = np.array(i[:n], np.intp), np.array(j[:n], np.intp)
+        sign, weight = np.array(signs), np.array(weights, float)  # object if too large
+        index = np.append(self._index, 0)  # unknown ends read the spare entry
+        ends = lambda e: f"edge ({src[e]!r}, {dst[e]!r})"
+        checks = [
+            (3, (i == nv) | (j == nv), lambda e: f"{ends(e)} references unknown vertex"),
+            (4, index[i] != index[j] + 1,
+             lambda e: f"{ends(e)} must drop the index by exactly 1"),
+            (6, (sign != 1) & (sign != -1), lambda e: "edge sign must be +1 or -1"),
+        ]
+        if require_negative:
+            checks.append((8, ~(weight < 0),
+                           lambda e: f"{ends(e)} has nonnegative weight {weights[e]}"))
+        faults = [f for f in (*failed, fault_p, fault_q) if f]
+        for stage, mask, message in checks:
+            if mask.any():
+                e = int(np.argmax(mask))
+                faults.append((e, stage, StructureError(message(e))))
+        if faults:
+            raise min(faults, key=lambda f: f[:2])[2]
+        self._src, self._dst = i, j
+        self._sign, self._weight = sign.astype(np.int64), weight
+        self._out_edges = np.argsort(i, kind="stable")
+        self._out_start = np.searchsorted(np.sort(i), np.arange(nv + 1))
 
     @functools.cached_property
     def edges(self):
@@ -175,31 +236,61 @@ class InstantonGraph:
     # -- plain-text format: "v <id> <index>" and "e <p> <q> <sign> <weight>" --
 
     def dumps(self) -> str:
-        lines = []
+        """The graph as text that :meth:`loads` reads back: each id must be
+        one whitespace-free token, and no two ids may share their text."""
+        lines, seen = [], set()
         for v in self.vertices:
-            if any(ch.isspace() for ch in str(v)):
+            text = str(v)
+            if text.split() != [text] or text in seen:
                 raise DomainError(f"vertex id {v!r} not serializable")
+            seen.add(text)
             lines.append(f"v {v} {self.index_of[v]}\n")
         sign = {1: "+1", -1: "-1"}
         lines += [f"e {p} {q} {sign[s]} {w!r}\n" for p, q, s, w in self._edge_rows()]
         return "".join(lines)
 
     def dump(self, path):
+        text = self.dumps()  # raises before the file is opened
         with open(path, "w") as fh:
-            fh.write(self.dumps())
+            fh.write(text)
 
     @classmethod
     def loads(cls, text, require_negative=True):
-        vertices, edges = [], []
+        """Read :meth:`dumps` text; ``#`` lines and blank lines are skipped.
+
+        Each column is converted once.  A number that does not convert
+        raises first, in line order, then a malformed line, then the
+        checks of the vertices and of the edges."""
+        vertices, edges, bad_line = [], [], None
         lines = text.splitlines()
         for lineno, parts in enumerate(map(str.split, lines), 1):
             if len(parts) == 5 and parts[0] == "e":
-                edges.append((parts[1], parts[2], int(parts[3]), float(parts[4])))
+                edges.append(parts)
             elif len(parts) == 3 and parts[0] == "v":
-                vertices.append((parts[1], int(parts[2])))
+                vertices.append((parts[1], parts[2], len(edges)))
             elif parts and not parts[0].startswith("#"):
-                raise DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
-        return cls(vertices, edges, require_negative=require_negative)
+                bad_line = DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
+                break
+        del lines
+        _, src, dst, signs, weights = zip(*edges) if edges else [()] * 5
+        del edges  # the token lists; the columns hold what is left
+        signs, sign_fault = _convert(5, int, signs)
+        weights, weight_fault = _convert(7, float, weights)
+        ids, indices, before = zip(*vertices) if vertices else [()] * 3
+        indices, index_fault = _convert(-1, int, indices)
+        faults = [f for f in (sign_fault, weight_fault) if f]
+        if index_fault:
+            # a vertex line is read before the edge lines that follow it
+            c, stage, exc = index_fault
+            faults.append((before[c], stage, exc))
+        if faults:
+            raise min(faults, key=lambda f: f[:2])[2]
+        if bad_line:
+            raise bad_line
+        graph = cls.__new__(cls)
+        graph._set_vertices(zip(ids, indices))
+        graph._set_edges(src, dst, signs, weights, require_negative)
+        return graph
 
     @classmethod
     def load(cls, path, require_negative=True):
@@ -323,6 +414,12 @@ def rank_sequence(counts, betti) -> RankProfile:
     return RankProfile(counts, betti, m, tuple(m1), tuple(m2))
 
 
+def _svd(mat):
+    """Numeric rank of a nonempty ``mat`` and its economy SVD u, s, vh."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    return int(np.count_nonzero(s > kernel_threshold(s[0]))), u, s, vh
+
+
 def _svd_rank(mat, return_basis=False):
     if mat.size == 0:
         if return_basis:
@@ -330,8 +427,7 @@ def _svd_rank(mat, return_basis=False):
                 (mat.shape[1], 0), dtype=complex
             )
         return 0
-    u, s, vh = np.linalg.svd(mat)
-    r = int(np.count_nonzero(s > kernel_threshold(s[0])))
+    r, u, _, vh = _svd(mat)
     if return_basis:
         return r, u[:, :r], vh[:r].conj().T
     return r
@@ -460,7 +556,7 @@ def leading_complex(graph) -> LeadingComplex:
         )
     for k in range(len(mats) - 1):
         if mats[k + 1].size and mats[k].size:
-            if np.linalg.norm(mats[k + 1] @ mats[k], 2) > 1e-12:
+            if np.linalg.norm(mats[k + 1] @ mats[k]) > 1e-12:  # Frobenius >= 2-norm
                 raise StructureError("leading differential does not square to zero")
     return LeadingComplex(tuple(mats), a)
 
@@ -560,8 +656,12 @@ def projection_law_check(graph, mu_values, nu=0.0):
     whose supertrace tends to sum_k (-1)^k (1 - e^{a_k}) m1_k; the zeta
     invariant's eta-wedge insertion has the limit of :func:`z_invariants`.
 
-    P^1_k projects onto the image of the degree-(k-1) differential; the
-    inverse is realized by least squares on that restricted isomorphism.
+    P^1_k projects onto the image of the degree-(k-1) differential and the
+    inverse is the one of the restricted isomorphism.  Both come from one
+    economy SVD of the shifted differential, U S V* with numeric rank r:
+    P^1 = U_r U_r* and d_z^{-1} P^1 = V_r S_r^{-1} U_r*, so the deviation
+    is the spectral norm of the m x r matrix e^{a_k} (shifted(z-1) V_r
+    S_r^{-1} - U_r), U_r* keeping every nonzero singular value.
     Returns {k: [deviation per mu]} plus fitted exponential decay rates.
     """
     report = tightness_check(graph)
@@ -575,22 +675,16 @@ def projection_law_check(graph, mu_values, nu=0.0):
             # work with the shifted matrices to avoid underflow:
             # d_{z-1} d_z^{-1} = e^{-a_k} * shifted(z-1) shifted(z)^{-1}
             sz = shifted_differential(graph, z, k - 1, ak)
-            szm1 = shifted_differential(graph, z - 1.0, k - 1, ak)
             if sz.size == 0:
                 devs[k].append(0.0)
                 continue
-            rank, u, _ = _svd_rank(sz, return_basis=True)
+            rank, u, s, vh = _svd(sz)
             if rank == 0:
                 devs[k].append(0.0)
                 continue
-            p1 = u @ u.conj().T
-            inv = np.linalg.pinv(sz, rcond=1e-13) @ p1
-            # szm1 = e^{a_k(z-1)} d_{z-1} and inv = (e^{a_k z} d_z)^{-1} P1,
-            # so e^{a_k} szm1 inv = d_{z-1} d_z^{-1} P1.
-            op = np.exp(ak) * (szm1 @ inv)
-            devs[k].append(
-                float(np.linalg.norm(op - np.exp(ak) * p1, 2))
-            )
+            szm1 = shifted_differential(graph, z - 1.0, k - 1, ak)
+            defect = (szm1 @ vh[:rank].conj().T) / s[:rank] - u[:, :rank]
+            devs[k].append(float(np.exp(ak) * np.linalg.norm(defect, 2)))
     rates = {}
     mu_arr = np.asarray(mu_values, float)
     for k, vals in devs.items():

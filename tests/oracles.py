@@ -388,3 +388,107 @@ def squares_loop(graph):
                 return p, r, items[i][0], total
             i = j
     return None
+
+
+def graph_loop(vertices, edges, require_negative=True):
+    """The instanton-graph constructor as one loop over the vertices and one
+    over the edges, each edge checked in turn: unknown vertex, index drop,
+    sign, weight.  Returns (vertex ids, indices, edge rows) with rows
+    (source position, target position, sign, weight)."""
+    from wittenlab.errors import StructureError
+
+    index_of, order = {}, []
+    for vid, idx in vertices:
+        idx = int(idx)
+        if vid in index_of:
+            raise StructureError(f"duplicate vertex id {vid!r}")
+        if idx < 0:
+            raise StructureError("vertex index must be nonnegative")
+        index_of[vid] = idx
+        order.append(vid)
+    position = {v: i for i, v in enumerate(order)}
+    rows = []
+    for p, q, sign, weight in edges:
+        i, j = position.get(p), position.get(q)
+        if i is None or j is None:
+            raise StructureError(f"edge ({p!r}, {q!r}) references unknown vertex")
+        if index_of[p] != index_of[q] + 1:
+            raise StructureError(
+                f"edge ({p!r}, {q!r}) must drop the index by exactly 1"
+            )
+        sign = int(sign)
+        if sign not in (-1, 1):
+            raise StructureError("edge sign must be +1 or -1")
+        weight = float(weight)
+        if require_negative and not weight < 0:
+            raise StructureError(
+                f"edge ({p!r}, {q!r}) has nonnegative weight {weight}"
+            )
+        rows.append((i, j, sign, weight))
+    return tuple(order), [index_of[v] for v in order], rows
+
+
+def loads_loop(text, require_negative=True):
+    """The graph-text parser that converts each line's numbers as it reads
+    the line, followed by :func:`graph_loop`."""
+    from wittenlab.errors import DomainError
+
+    vertices, edges = [], []
+    lines = text.splitlines()
+    for lineno, parts in enumerate(map(str.split, lines), 1):
+        if len(parts) == 5 and parts[0] == "e":
+            edges.append((parts[1], parts[2], int(parts[3]), float(parts[4])))
+        elif len(parts) == 3 and parts[0] == "v":
+            vertices.append((parts[1], int(parts[2])))
+        elif parts and not parts[0].startswith("#"):
+            raise DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
+    return graph_loop(vertices, edges, require_negative)
+
+
+def projection_law_pinv(graph, mu_values, nu=0.0):
+    """Projection-law deviations with P^1 from a full SVD and the inverse
+    from ``pinv``, their fitted decay rates, and the numeric ranks:
+    ({k: [deviation per mu]}, {k: rate}, {k: [rank per mu]})."""
+    from wittenlab.errors import StructureError
+    from wittenlab.morse import shifted_differential, tightness_check
+    from wittenlab.spectral import kernel_threshold
+
+    report = tightness_check(graph)
+    if not report.tight:
+        raise StructureError("projection law requires a tight graph")
+    devs = {k: [] for k in range(1, graph.n + 1)}
+    ranks = {k: [] for k in range(1, graph.n + 1)}
+    for mu in mu_values:
+        z = complex(mu, nu)
+        for k in range(1, graph.n + 1):
+            ak = report.index_costs[k - 1]
+            sz = shifted_differential(graph, z, k - 1, ak)
+            szm1 = shifted_differential(graph, z - 1.0, k - 1, ak)
+            if sz.size == 0:
+                devs[k].append(0.0)
+                ranks[k].append(0)
+                continue
+            u, s, _ = np.linalg.svd(sz)
+            rank = int(np.count_nonzero(s > kernel_threshold(s[0])))
+            ranks[k].append(rank)
+            if rank == 0:
+                devs[k].append(0.0)
+                continue
+            u = u[:, :rank]
+            p1 = u @ u.conj().T
+            inv = np.linalg.pinv(sz, rcond=1e-13) @ p1
+            # szm1 = e^{a_k(z-1)} d_{z-1} and inv = (e^{a_k z} d_z)^{-1} P1,
+            # so e^{a_k} szm1 inv = d_{z-1} d_z^{-1} P1.
+            op = np.exp(ak) * (szm1 @ inv)
+            devs[k].append(
+                float(np.linalg.norm(op - np.exp(ak) * p1, 2))
+            )
+    rates = {}
+    mu_arr = np.asarray(mu_values, float)
+    for k, vals in devs.items():
+        arr = np.asarray(vals)
+        if np.all(arr > 1e-300):
+            rates[k] = float(-np.polyfit(mu_arr, np.log(arr), 1)[0])
+        else:
+            rates[k] = np.inf
+    return devs, rates, ranks

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wittenlab import cli, model
+from wittenlab import cli, model, morse
 from wittenlab.errors import (
     AmbiguousKernel,
     DataError,
@@ -240,6 +240,20 @@ def test_prescribe_verify_roundtrip(tmp_path):
         "--result", str(out), "--cert", str(cert),
     ) == 4
 
+
+def test_prescribe_unserializable_result_exits_3(tmp_path, monkeypatch, capsys):
+    # raw.graph with index-0 ids whose texts collide, so --out cannot be read back
+    graph = morse.InstantonGraph(
+        [("p", 1), (1, 0), ("1", 0)], [("p", 1, 1, 0.7), ("p", "1", -1, -0.4)],
+        require_negative=False,
+    )
+    monkeypatch.setattr(morse.InstantonGraph, "load",
+                        classmethod(lambda cls, path, require_negative=True: graph))
+    out = tmp_path / "new.graph"
+    assert run("prescribe", "--graph", "raw.graph", "--targets", "4",
+               "--out", str(out)) == 3
+    assert "vertex id '1' not serializable" in capsys.readouterr().err
+    assert not out.exists()
 
 @pytest.mark.parametrize("edit", ["deleted", "swapped"])
 def test_verify_rejects_edited_edge_list(edit, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Array-backed instanton graphs against the per-edge reference loops in
 ``oracles``: the same floats bit for bit (compared through ``repr`` or raw
 bytes), the same exceptions and the same counterexamples, on seeded random
-problems, a wide problem of about 7k edges and the tensor fixtures."""
+problems, a wide problem of about 7k edges and the tensor fixtures; the
+column validator of the constructor and ``loads`` against the edge-by-edge
+constructor and the line-by-line parser, on tables of malformed input."""
 
 import re
 
@@ -66,6 +68,14 @@ def test_escape_costs_bitwise(prob):
     )
 
 
+def _table(graph):
+    """Vertex ids, indices and edge rows (source position, target position,
+    sign, weight) of ``graph``, in the form of ``oracles.graph_loop``."""
+    return graph.vertices, graph._index.tolist(), list(zip(
+        graph._src.tolist(), graph._dst.tolist(), graph._sign.tolist(),
+        graph._weight.tolist()))
+
+
 @pytest.mark.parametrize("prob", PROBLEMS)
 def test_prescription_bitwise(prob):
     res = wp.prescribe(prob)
@@ -75,6 +85,15 @@ def test_prescription_bitwise(prob):
     assert repr([e.weight for e in res.graph.edges]) == repr(final)
     assert repr([(s.k, s.b, s.b_min) for s in res.stages]) == repr(stages)
     assert res.graph.dumps() == oracles.dumps_loop(res.graph)
+    g = prob.graph
+    vertices = [(v, g.index_of[v]) for v in g.vertices]
+    rows = [(e.p, e.q, e.sign, e.weight) for e in g.edges]
+    assert repr(_table(InstantonGraph(vertices, rows, require_negative=False))) == repr(
+        oracles.graph_loop(vertices, rows, require_negative=False))
+    for graph, negative in ((g, False), (res.graph, True)):
+        text = graph.dumps()
+        assert repr(_table(InstantonGraph.loads(text, negative))) == repr(
+            oracles.loads_loop(text, negative))
 
 
 def _report(cert):
@@ -154,6 +173,10 @@ def test_dumps_loads_round_trip_bitwise():
     again = InstantonGraph.loads(text)
     assert again.dumps() == text
     assert again.edges == final.edges
+    assert repr(_table(again)) == repr(oracles.loads_loop(text))
+    for name in ("_index", "_src", "_dst", "_sign", "_weight", "_out_edges", "_out_start"):
+        a, b = getattr(again, name), getattr(final, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _tensor_fixtures(tensor_graph, tight2_graph, exact_source_graph):
@@ -268,6 +291,98 @@ def test_bad_graph_line_message():
     with pytest.raises(DomainError, match=re.escape("bad graph line 2: '  x p'")):
         InstantonGraph.loads("v p 1\n  x p\n")
 
+
+# -- one validator for the constructor and loads: same class, message and
+# first offender as the edge-by-edge constructor and the line parser --------
+
+VERTICES = [("r", 2), ("p", 1), ("p2", 1), ("q", 0), ("q2", 0)]
+EDGES = [("r", "p", 1, -1.0), ("r", "p2", -1, -1.5), ("p", "q", 1, -0.5),
+         ("p2", "q", 1, -0.7), ("p", "q2", -1, -0.3), ("p2", "q2", -1, -0.2)]
+BAD_EDGES = [
+    ("x", "q", 1, -1.0), ("p", "y", 1, -1.0),  # unknown vertex
+    ("r", "q", 1, -1.0), ("q", "p", 1, -1.0),  # index drop
+    ("p", "q", 2, -1.0), ("p", "q", 0, -1.0), ("p", "q", 10**30, -1.0),  # sign
+    ("p", "q", "s", -1.0), ("p", "q", None, -1.0),  # sign conversion
+    ("p", "q", 1, 0.0), ("p", "q", 1, 0.25), ("p", "q", 1, float("nan")),  # weight
+    ("p", "q", 1, "w"), ("p", "q", 1, None), ("p", "q", 1, -10**400),  # weight conversion
+    # several faults on one edge: the first check wins
+    ("x", "q", "s", "w"), ("r", "q", 2, 0.5), ("p", "q", 3, "w"), ("p", "q", "s", "w"),
+    ("p", "q", 1), ("p", "q", 1, -1.0, 0), 7,  # rows that do not unpack into four
+    (["p"], "q", 1, -1.0),  # an end that cannot be looked up
+]
+CONVERTED_EDGES = [("p", "q", "+1", "-0.5"), ("p", "q", 1.7, -1), ("p", "q", True, -2)]
+
+
+def _built(vertices, edges, require_negative):
+    return repr(_table(InstantonGraph(vertices, edges, require_negative)))
+
+
+def _read(text, require_negative):
+    return repr(_table(InstantonGraph.loads(text, require_negative)))
+
+
+@pytest.mark.parametrize("require_negative", [True, False])
+def test_constructor_faults_match_edge_loop(require_negative):
+    cases = [[e] for e in BAD_EDGES + CONVERTED_EDGES]
+    cases += [[a, b] for a in BAD_EDGES for b in BAD_EDGES if a is not b]
+    raised = set()
+    for first, *more in cases:
+        edges = EDGES[:2] + [first] + EDGES[2:4] + more + EDGES[4:]
+        got = _outcome(_built, VERTICES, edges, require_negative)
+        assert got == _outcome(lambda: repr(
+            oracles.graph_loop(VERTICES, edges, require_negative)))
+        raised.add(got[0])
+    assert {StructureError, ValueError, TypeError, OverflowError} <= raised
+
+
+@pytest.mark.parametrize("vertices", [
+    VERTICES + [("p", 0)], VERTICES + [("z", -1)], VERTICES + [("z", "x")],
+    [("z", "x")] + VERTICES + [("p", 0)],
+])
+def test_constructor_vertex_faults_match_loop(vertices):
+    got = _outcome(_built, vertices, EDGES + [("x", "q", 1, -1.0)], True)
+    assert got == _outcome(lambda: repr(
+        oracles.graph_loop(vertices, EDGES + [("x", "q", 1, -1.0)])))
+    assert got[0] in (StructureError, ValueError)
+
+
+TEXT = ["# a graph", "v r 2", "v p 1", "", "v p2 1", "v q 0", "v q2 0",
+        "e r p +1 -1.0", "   # an indented comment", "e r p2 -1 -1.5",
+        "e p q +1 -0.5", "e p2 q +1 -0.7", "e p q2 -1 -0.3", "e p2 q2 -1 -0.2"]
+BAD_LINES = [
+    "e p q x -0.5", "e p q 1.5 -0.5", "e p q +1 w", "e p q x w", "v z x",  # numbers
+    "e p q +1", "x p", "v z 1 2",  # malformed lines
+    "e x q +1 -0.5", "e r q +1 -0.5", "e p q +2 -0.5",  # unknown, drop, sign
+    "e p q +1 0.5", "e p q +1 nan", "e p q +1 -nan",  # weight
+    "v p 1", "v z -1",  # duplicate, negative index
+    "v z x\ne p q +1 w", "e p q +1 w\nv z x",  # a vertex number beside an edge number
+]
+
+
+@pytest.mark.parametrize("require_negative", [True, False])
+def test_loads_faults_match_line_parser(require_negative):
+    text = "\n".join(TEXT) + "\n"
+    assert _read(text, require_negative) == repr(oracles.loads_loop(text, require_negative))
+    cases = [[line] for line in BAD_LINES]
+    cases += [[a, b] for a in BAD_LINES for b in BAD_LINES if a != b]
+    raised = set()
+    for first, *more in cases:
+        # the first line goes among the vertex lines, the second among the edges
+        text = "\n".join(TEXT[:3] + [first] + TEXT[3:10] + more + TEXT[10:])
+        got = _outcome(_read, text, require_negative)
+        assert got == _outcome(lambda: repr(oracles.loads_loop(text, require_negative)))
+        raised.add(got[0])
+    assert {StructureError, ValueError, DomainError} <= raised
+
+
+@pytest.mark.parametrize("vertices", [[("p", 1), ("", 0)], [("p", 1), (1, 0), ("1", 0)],
+                                      [("p", 1), ("a b", 0)]],
+                         ids=["empty", "same-text", "whitespace"])
+def test_dumps_rejects_ids_loads_cannot_read(vertices):
+    graph = InstantonGraph(vertices, [], require_negative=False)
+    with pytest.raises(DomainError) as info:
+        graph.dumps()
+    assert str(info.value) == f"vertex id {vertices[-1][0]!r} not serializable"
 
 def test_square_failure_message_matches_loop():
     g = InstantonGraph(

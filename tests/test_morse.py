@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from wittenlab.errors import (
 )
 from wittenlab.morse import InstantonGraph
 
-from oracles import brute_ranks, edge_matrix_loop
+from oracles import brute_ranks, edge_matrix_loop, projection_law_pinv
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def two_vertex_graph(w1=-0.45, w2=-2.2, s1=1, s2=-1):
@@ -207,6 +212,21 @@ def test_leading_complex_drops_subleading(tight2_graph):
     assert lead.matrices[0][0, 0] == pytest.approx(1.0)  # only the -a1 edge
 
 
+
+def test_leading_complex_rejects_patched_nonzero_square(tensor_graph, monkeypatch):
+    morse.leading_complex(tensor_graph)  # the genuine leading part squares to zero
+    edge_matrix = morse._edge_matrix
+
+    def bent(graph, k, entry):
+        mat = edge_matrix(graph, k, entry)
+        if k == 1:
+            mat[0, 0] += 1e-11  # d'_1 d'_0 = +-1e-11, above the 1e-12 bound
+        return mat
+
+    monkeypatch.setattr(morse, "_edge_matrix", bent)
+    with pytest.raises(StructureError, match="does not square to zero"):
+        morse.leading_complex(tensor_graph)
+
 def test_leading_decay_slope(tight2_graph):
     slopes = morse.leading_decay_fit(tight2_graph, [2.0, 3.0, 4.0, 5.0])
     slope, norms = slopes[0]
@@ -331,6 +351,60 @@ def test_projection_law_nu_uniformity(tight2_graph):
         for k in base:
             assert max(shifted[k]) <= 2.0 * max(base[k]) + 1e-14
 
+
+
+def _bench_tensor_graphs(seed, monkeypatch):
+    """The graphs of the benchmark's tensor job in cycle 1 of ``seed``:
+    tensor powers of tight rings of shapes (4, 2), (3, 3) and (8, 2)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for _, kind, params in workloads.make_cycle("graphs", seed, 1):
+        if kind == "tensor":
+            return [workloads.build_tensor_graph(f) for f in params["graphs"]]
+
+
+@pytest.mark.parametrize("nu", [0.0, 5.0])
+def test_projection_law_matches_pinv_reference(nu, tight2_graph, tensor_graph,
+                                               monkeypatch):
+    # on tight2 the deviation is 1 - (1 - e^{-1.75(mu-1)}) / (1 - e^{-1.75 mu})
+    # up to a factor, so past mu = 8 cancellation leaves both codes far from
+    # the exact value (1e-6 relative at mu = 14, against 50-digit arithmetic)
+    cases = [(tight2_graph, [2.0, 4.0, 6.0, 8.0]), (tensor_graph, [2.0, 4.0, 6.0])]
+    for seed in (1, 2, 3):
+        cases += [(g, [2.0, 4.0, 6.0]) for g in _bench_tensor_graphs(seed, monkeypatch)]
+    assert len(cases) == 11
+    for g, mus in cases:
+        devs, rates = morse.projection_law_check(g, mus, nu)
+        want, want_rates, want_ranks = projection_law_pinv(g, mus, nu)
+        a = morse.tightness_check(g).index_costs
+        for k in devs:
+            assert devs[k] == pytest.approx(want[k], rel=1e-8, abs=0.0)
+            assert rates[k] == pytest.approx(want_rates[k], rel=0.0, abs=1e-8)
+            ranks = [morse._svd_rank(morse.shifted_differential(
+                g, complex(mu, nu), k - 1, a[k - 1])) for mu in mus]
+            assert ranks == want_ranks[k]
+            assert min(ranks) > 0
+
+
+def test_projection_law_one_svd_and_one_norm_per_degree(monkeypatch):
+    g = _bench_tensor_graphs(1, monkeypatch)[1]  # three levels
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("ord", args[1] if len(args) > 1 else None)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "pinv", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    mus = [2.0, 4.0, 6.0]
+    morse.projection_law_check(g, mus)
+    per_degree = len(mus) * g.n
+    assert g.n == 3
+    assert [name for name, _ in calls].count("pinv") == 0
+    assert [name for name, _ in calls].count("svd") == per_degree
+    assert [c for c in calls if c[0] == "norm"] == [("norm", 2)] * per_degree
 
 # -- prescription equation ---------------------------------------------------------------
 
