@@ -14,7 +14,8 @@ identities, cell integrals, tori) read the full singular value
 decomposition; the kernel count and the spectral-gap sweep read the
 singular values alone, from a values-only bidiagonal SVD that keeps small
 values to high relative accuracy (Demmel-Kahan 1990).  Both apply one
-kernel rule.
+kernel rule, and a system keeps either in one bounded cache keyed by the
+parameter.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 4096
-#: Entries kept per system by :meth:`CircleWittenSystem.zeta_data`, and
-#: separately by :meth:`CircleWittenSystem.singular_values`, each evicted
-#: oldest first: six 65-node Gauss-Kronrod pairings, a whole
-#: delta_limit_report sweep of three strengths and two test functions.
+#: Parameters kept in a system's one spectral cache, shared by
+#: :meth:`CircleWittenSystem.zeta_data` and
+#: :meth:`CircleWittenSystem.singular_values` and evicted oldest first: six
+#: 65-node Gauss-Kronrod pairings, a whole delta_limit_report sweep of three
+#: strengths and two test functions.
 _ZETA_CACHE_SIZE = 6 * 65
 
 _diff_matrix_cache = {}
@@ -268,18 +270,18 @@ class CircleWittenSystem:
     The one construction path takes a callable ``eta_fn`` that evaluates the
     eta coefficient at angles; :meth:`from_standard_zeros`,
     :meth:`from_arc_weights`, :meth:`from_callable_profile` and
-    :meth:`from_profile` build it.  Instances are immutable after
-    construction apart from internal caches keyed by the deformation
-    parameter.
+    :meth:`from_profile` build it.  The grid data never change after
+    construction; the spectral cache keyed by the deformation parameter
+    does, unsynchronised, so one system is not to be shared between
+    threads.
     """
 
-    def __init__(self, eta_fn, N=256, c=None, zeros=None, r=None, label=""):
+    def __init__(self, eta_fn, N=256, c=None, zeros=None, r=None):
         _check_grid_size(N)
         self.N = N
         self.theta = grid(N)
         self._eta_fn = eta_fn
         self.eta = np.asarray(eta_fn(self.theta), dtype=float)
-        self.label = label
         m = max(_DENSE_MIN, 8 * N)
         dense_theta = TWO_PI * np.arange(m) / m
         dense = np.asarray(eta_fn(dense_theta), dtype=float)
@@ -312,19 +314,18 @@ class CircleWittenSystem:
         self._dense_h = m * np.real(np.fft.ifft(anti))
         self.h = self._dense_h[:: m // N].copy()
         self._validate()
-        self._zeta_cache = {}
-        self._sigma_cache = {}
+        self._spectra = {}  # z -> _ZetaData, or the values-only sigma
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_arc_weights(cls, positions, indices, weights, r=0.35, N=256, label=""):
+    def from_arc_weights(cls, positions, indices, weights, r=0.35, N=256):
         """Standard-form system with prescribed descent-path integrals."""
         form = StandardOneForm(positions, indices, weights, r)
-        return cls(form, N=N, label=label or "arc weights")
+        return cls(form, N=N)
 
     @classmethod
-    def from_standard_zeros(cls, zero_spec, r=0.35, N=256, c=0.0, label=""):
+    def from_standard_zeros(cls, zero_spec, r=0.35, N=256, c=0.0):
         """System from (position, value, index) triples; optional circulation
         c shifts the one-form, displacing zeros inside the caps."""
         spec = sorted(((float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec))
@@ -334,16 +335,16 @@ class CircleWittenSystem:
         weights = [v1 - v0 for v0, v1 in zip(values, values[1:] + values[:1])]
         form = StandardOneForm(positions, indices, weights, r)
         if c == 0.0:
-            return cls(form, N=N, label=label or "standard zeros")
+            return cls(form, N=N)
         if abs(c) >= 0.5 * r:
             raise GeometryError(
                 f"|c| = {abs(c)} must be below half the cap radius {r}"
             )
         shifted = lambda theta: form(theta) + c
-        return cls(shifted, N=N, r=r, label=label or "shifted")
+        return cls(shifted, N=N, r=r)
 
     @classmethod
-    def from_profile(cls, h_samples, c=0.0, r=None, label=""):
+    def from_profile(cls, h_samples, c=0.0, r=None):
         """Generic Morse profile sampled on the grid of the samples' length;
         eta = h' + c, with h' the spectral derivative of the samples carried
         off the grid by its trigonometric interpolant; zeros located
@@ -354,12 +355,12 @@ class CircleWittenSystem:
         N = len(h_samples)
         coeffs = _fourier_coeffs(np.real(differentiation_matrix(N) @ h_samples))
         eta = lambda t: np.real(_eval_series(coeffs, t)) + c
-        return cls(eta, N=N, c=c, r=r, label=label or "profile samples")
+        return cls(eta, N=N, c=c, r=r)
 
     @classmethod
-    def from_callable_profile(cls, dh_fn, c=0.0, N=256, r=None, label=""):
+    def from_callable_profile(cls, dh_fn, c=0.0, N=256, r=None):
         """Profile given by its derivative h'; eta = h' + c."""
-        return cls(lambda t: dh_fn(t) + c, N=N, c=c, r=r, label=label or "callable")
+        return cls(lambda t: dh_fn(t) + c, N=N, c=c, r=r)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -439,7 +440,7 @@ class CircleWittenSystem:
         fn = self._eta_fn
         return CircleWittenSystem(
             lambda t: -np.asarray(fn(t)), N=self.N, c=-self.c,
-            zeros=flipped, r=self.r, label=f"-({self.label})",
+            zeros=flipped, r=self.r,
         )
 
     # -- spectral data -------------------------------------------------------
@@ -465,16 +466,14 @@ class CircleWittenSystem:
 
         There is one array per parameter: a cached :meth:`zeta_data` entry
         hands out its own ``sigma``; otherwise the values-only result is
-        kept in a cache of at most ``_ZETA_CACHE_SIZE`` parameters, oldest
-        evicted first."""
+        kept in the system's spectral cache."""
         z = complex(z)
-        if z in self._zeta_cache:
-            return self._zeta_cache[z].sigma
-        if z not in self._sigma_cache:
-            _make_room(self._sigma_cache)
+        entry = self._spectra.get(z)
+        if entry is None:
+            _make_room(self._spectra)
             s = np.linalg.svd(self.differential(z), compute_uv=False)
-            self._sigma_cache[z] = np.sort(s)
-        return self._sigma_cache[z]
+            entry = self._spectra[z] = np.sort(s)
+        return entry.sigma if isinstance(entry, _ZetaData) else entry
 
     def sigma_tolerance(self, sigma):
         return _kernel_split(sigma)[0]
@@ -485,36 +484,41 @@ class CircleWittenSystem:
         kernel contribution of the h-weight, and the one kernel threshold
         with the kernel count and nonzero/small masks every consumer reads.
 
-        At most ``_ZETA_CACHE_SIZE`` parameters are kept; the oldest entry
-        is evicted first.  A values-only entry for the same parameter is
-        dropped, so :meth:`singular_values` returns this entry's sigma."""
+        The system's spectral cache keeps at most ``_ZETA_CACHE_SIZE``
+        parameters and evicts the oldest first.  This entry replaces a
+        values-only entry for the same parameter and goes to the end, so
+        :meth:`singular_values` returns this entry's sigma."""
         z = complex(z)
-        if z not in self._zeta_cache:
-            _make_room(self._zeta_cache)
-            self._sigma_cache.pop(z, None)
-            sigma, u, v = self.spectrum(z)
-            wv = self.eta[:, None] * v
-            coeffs = np.einsum("ij,ij->j", u.conj(), wv)
-            h0 = np.real(np.einsum("ij,ij->j", v.conj(), self.h[:, None] * v))
-            h1 = np.real(np.einsum("ij,ij->j", u.conj(), self.h[:, None] * u))
-            id_diag = np.einsum("ij,ij->j", u.conj(), v)
-            tol, ker, nonzero, small = _kernel_split(sigma)
-            if ker.any():
-                k0, k1 = v[:, ker], u[:, ker]
-                kernel_term = complex(
-                    np.einsum("ij,ij->", k0.conj(), self.h[:, None] * k0)
-                    - np.einsum("ij,ij->", k1.conj(), self.h[:, None] * k1)
-                )
-            else:
-                kernel_term = 0.0 + 0.0j
-            self._zeta_cache[z] = _ZetaData(
-                sigma, coeffs, h0, h1, id_diag, kernel_term, tol, nonzero, small,
+        entry = self._spectra.get(z)
+        if isinstance(entry, _ZetaData):
+            return entry
+        if entry is None:
+            _make_room(self._spectra)
+        else:
+            del self._spectra[z]
+        sigma, u, v = self.spectrum(z)
+        wv = self.eta[:, None] * v
+        coeffs = np.einsum("ij,ij->j", u.conj(), wv)
+        h0 = np.real(np.einsum("ij,ij->j", v.conj(), self.h[:, None] * v))
+        h1 = np.real(np.einsum("ij,ij->j", u.conj(), self.h[:, None] * u))
+        id_diag = np.einsum("ij,ij->j", u.conj(), v)
+        tol, ker, nonzero, small = _kernel_split(sigma)
+        if ker.any():
+            k0, k1 = v[:, ker], u[:, ker]
+            kernel_term = complex(
+                np.einsum("ij,ij->", k0.conj(), self.h[:, None] * k0)
+                - np.einsum("ij,ij->", k1.conj(), self.h[:, None] * k1)
             )
-        return self._zeta_cache[z]
+        else:
+            kernel_term = 0.0 + 0.0j
+        entry = self._spectra[z] = _ZetaData(
+            sigma, coeffs, h0, h1, id_diag, kernel_term, tol, nonzero, small,
+        )
+        return entry
 
 
 def _make_room(cache):
-    """Evict the oldest entry of a per-system spectral cache when full."""
+    """Evict the oldest entry of a system's spectral cache when full."""
     if len(cache) >= _ZETA_CACHE_SIZE:
         del cache[next(iter(cache))]
 
@@ -546,11 +550,7 @@ class _ZetaData:
 
 def assemble_circle_complex(system, z) -> GradedMatrixComplex:
     """Graded complex with degree sizes (N, N) and the single differential."""
-    return GradedMatrixComplex(
-        [system.differential(z)],
-        (system.N, system.N),
-        label=f"{system.label} z={complex(z)}",
-    )
+    return GradedMatrixComplex([system.differential(z)], (system.N, system.N))
 
 
 def betti_novikov(system, z):
@@ -890,10 +890,9 @@ def _cutoff_profile(system, z):
     if mu <= 0:
         raise DomainError("cutoff states require mu > 0")
     r_hat = 0.5 * system.r
-    rho = default_cutoff(r_hat)
-    a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
+    a_mu, _ = cutoff_normalization(mu, r_hat)
     # norm^2 of rho * (mu/pi)^{1/4} e^{-mu x^2/2} is (mu/pi)^{1/2} a_mu^2
-    return r_hat, rho, (mu / np.pi) ** 0.25 * a_mu
+    return r_hat, default_cutoff(r_hat), (mu / np.pi) ** 0.25 * a_mu
 
 
 def _cutoff_state(system, z, p_idx, r_hat, rho, normalizer):
@@ -924,7 +923,7 @@ def phi_psi_matrix(system, z):
     nzeros = len(system.zeros)
     mat = np.zeros((nzeros, nzeros), dtype=complex)
     sigma, u, v = system.spectrum(z)
-    small = sigma**2 <= 1.0
+    small = _kernel_split(sigma)[3]
     vs, us = v[:, small], u[:, small]
     for p in range(nzeros):
         omega0, omega1 = _cutoff_state(system, z, p, *profile)

@@ -17,18 +17,10 @@ from . import weight_prescription as presc
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DataError,
-    DomainError,
-    GeometryError,
-    InfeasibleError,
     InvariantViolation,
-    LyapunovError,
     NotAComplex,
     NumericalError,
-    ShapeError,
     StateError,
-    StructureError,
-    UnsupportedError,
 )
 from .reports import Report, write_csv, write_json
 
@@ -38,24 +30,13 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_FALSIFIED = 4
 
-_INPUT_ERRORS = (
-    ConfigError,
-    DomainError,
-    GeometryError,
-    InfeasibleError,
-    LyapunovError,
-    StructureError,
-    StateError,
-    UnsupportedError,
-    ConvergenceError,
-    ShapeError,
-    DataError,
-    NumericalError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
-
+# NotAComplex is a ValueError, so main() catches the falsified errors first.
+# Every other package error, a malformed number or JSON file, a missing
+# config key and an unreadable path are input errors.
 _FALSIFIED_ERRORS = (NotAComplex, InvariantViolation)
+_INPUT_ERRORS = (
+    ValueError, KeyError, OSError, StateError, NumericalError, ConvergenceError,
+)
 
 
 def _number_list(convert):
@@ -83,7 +64,7 @@ def load_system(path, n_override=None):
     if kind == "standard_zeros":
         zeros = [(float(p), float(v), int(k)) for p, v, k in cfg["zeros"]]
         return circle.CircleWittenSystem.from_standard_zeros(
-            zeros, r=r, N=N, c=float(cfg.get("c", 0.0)), label=path
+            zeros, r=r, N=N, c=float(cfg.get("c", 0.0))
         )
     if kind == "arc_weights":
         return circle.CircleWittenSystem.from_arc_weights(
@@ -92,7 +73,6 @@ def load_system(path, n_override=None):
             [float(w) for w in cfg["weights"]],
             r=r,
             N=N,
-            label=path,
         )
     if kind == "trig_profile":
         cos = [float(a) for a in cfg.get("cos", [])]
@@ -108,7 +88,7 @@ def load_system(path, n_override=None):
             return out
 
         return circle.CircleWittenSystem.from_callable_profile(
-            dh, c=float(cfg.get("c", 0.0)), N=N, label=path
+            dh, c=float(cfg.get("c", 0.0)), N=N
         )
     raise ConfigError(f"unknown system type {kind!r}")
 
@@ -465,12 +445,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except _FALSIFIED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return code
 
 

@@ -19,48 +19,26 @@ def default_t_sequence(t0=1.0, steps=12):
 @dataclass(frozen=True)
 class RichardsonResult:
     value: complex
-    ts: tuple
     raw: tuple
-    column: tuple  # final extrapolation column
-    diffs: tuple  # successive differences within the final column
-    converged: bool
+    column: tuple  # the extrapolated column
 
 
-def richardson_sqrt(ts, values, order=1) -> RichardsonResult:
+def richardson_sqrt(ts, values) -> RichardsonResult:
     """Extrapolate t -> 0 assuming corrections c_1 sqrt(t) + c_2 t + ...
 
-    ``ts`` must decrease geometrically with ratio 2; ``order`` powers of
-    sqrt(t) are eliminated.  The final column's tail differences serve as a
-    convergence diagnostic; oscillation marks the result unconverged.
+    ``ts`` must decrease geometrically with ratio 2; one elimination step
+    removes the sqrt(t) term.  The value is the column's last entry; the
+    column's tail is what :func:`oscillating` inspects.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(values, dtype=complex)
-    if ts.size != vals.size or ts.size < order + 1:
-        raise DomainError("need at least order+1 matching samples")
+    if ts.size != vals.size or ts.size < 2:
+        raise DomainError("need at least two matching samples")
     if np.any(np.abs(ts[:-1] / ts[1:] - 2.0) > 1e-9):
         raise DomainError("t-sequence must be geometric with ratio 2")
-    col = vals.copy()
-    for m in range(1, order + 1):
-        kappa = 2.0 ** (m / 2.0)
-        col = (kappa * col[1:] - col[:-1]) / (kappa - 1.0)
-    diffs = np.abs(np.diff(col))
-    value = complex(col[-1])
-    scale = 1.0 + abs(value)
-    if diffs.size == 0:
-        converged = True
-    else:
-        converged = bool(
-            np.isfinite(value)
-            and diffs[-1] <= max(diffs[0], 1e-12 * scale)
-        )
-    return RichardsonResult(
-        value=value,
-        ts=tuple(ts),
-        raw=tuple(vals),
-        column=tuple(col),
-        diffs=tuple(diffs),
-        converged=converged,
-    )
+    kappa = 2.0**0.5
+    col = (kappa * vals[1:] - vals[:-1]) / (kappa - 1.0)
+    return RichardsonResult(value=complex(col[-1]), raw=tuple(vals), column=tuple(col))
 
 
 def oscillating(result: RichardsonResult) -> bool:

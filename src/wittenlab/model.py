@@ -145,17 +145,16 @@ def default_cutoff(r):
     return rho
 
 
-def cutoff_normalization(mu, r, rho=None, n=1):
-    """Normalization a_mu = (integral rho^2 e^{-mu x^2} dx)^{n/2} of the
-    cutoff ground state, and its relative deviation from (pi/mu)^{n/4}.
+def cutoff_normalization(mu, r):
+    """Normalization a_mu = (integral rho^2 e^{-mu x^2} dx)^{1/2} of the
+    one-dimensional cutoff ground state, with rho the :func:`default_cutoff`
+    of radius r, and its relative deviation from (pi/mu)^{1/4}.
 
-    The deviation is exponentially small in mu for any admissible cutoff.
+    The deviation is exponentially small in mu.
     """
     if mu <= 0:
         raise DomainError("mu must be positive")
-    if rho is None:
-        rho = default_cutoff(r)
-    _validate_cutoff(rho, r)
+    rho = default_cutoff(r)
     val, err = integrate.quad(
         lambda x: float(rho(x)) ** 2 * np.exp(-mu * x * x),
         -2.0 * r,
@@ -166,23 +165,9 @@ def cutoff_normalization(mu, r, rho=None, n=1):
     )
     if err > 1e-10 * max(val, 1e-300):
         raise NumericalError(f"cutoff quadrature error {err:.3e} too large")
-    a_mu = val ** (n / 2.0)
-    target = (np.pi / mu) ** (n / 4.0)
+    a_mu = val**0.5
+    target = (np.pi / mu) ** 0.25
     return a_mu, (a_mu - target) / target
-
-
-def _validate_cutoff(rho, r):
-    xs = np.linspace(0.0, 2.0 * r, 257)
-    vals = np.asarray(rho(xs), dtype=float)
-    neg = np.asarray(rho(-xs), dtype=float)
-    if np.max(np.abs(vals - neg)) > 1e-12:
-        raise DomainError("cutoff profile must be even")
-    if np.max(np.abs(vals[xs <= r] - 1.0)) > 1e-12:
-        raise DomainError("cutoff profile must equal 1 on [-r, r]")
-    if abs(float(rho(2.0 * r))) > 1e-12 or abs(float(rho(2.5 * r))) > 1e-12:
-        raise DomainError("cutoff profile must vanish beyond [-2r, 2r]")
-    if np.min(vals) < -1e-12 or np.max(vals) > 1.0 + 1e-12:
-        raise DomainError("cutoff profile must take values in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,9 @@ class InstantonGraph:
         costs[top] = -np.maximum.reduceat(w, self._out_start[:-1][top])
         return costs
 
-    def escape_costs(self, weights=None):
-        """Escape cost -max outgoing weight of every positive-index vertex.
-
-        ``weights``, aligned with ``edges``, replaces the edge weights."""
-        costs = self._costs(self._weight if weights is None else weights).tolist()
+    def escape_costs(self):
+        """Escape cost -max outgoing weight of every positive-index vertex."""
+        costs = self._costs(self._weight).tolist()
         return {v: c for v, c in zip(self.vertices, costs) if self.index_of[v] > 0}
 
     def reweighted(self, new_weights, require_negative=True):
@@ -359,9 +357,7 @@ def build_differential(graph, z) -> GradedMatrixComplex:
         _edge_matrix(graph, k, lambda s, w: s * np.exp(z * w))
         for k in range(graph.n)
     ]
-    return GradedMatrixComplex(
-        mats, graph.counts, label=f"morse z={z}", exact=True
-    )
+    return GradedMatrixComplex(mats, graph.counts, exact=True)
 
 
 @dataclass(frozen=True)
@@ -420,17 +416,15 @@ def _svd(mat):
     return int(np.count_nonzero(s > kernel_threshold(s[0]))), u, s, vh
 
 
-def _svd_rank(mat, return_basis=False):
+def _svd_rank(mat):
+    """Numeric rank r of ``mat`` with orthonormal bases of its image (m x r)
+    and of the orthogonal complement of its kernel (n x r)."""
     if mat.size == 0:
-        if return_basis:
-            return 0, np.zeros((mat.shape[0], 0), dtype=complex), np.zeros(
-                (mat.shape[1], 0), dtype=complex
-            )
-        return 0
+        return 0, np.zeros((mat.shape[0], 0), dtype=complex), np.zeros(
+            (mat.shape[1], 0), dtype=complex
+        )
     r, u, _, vh = _svd(mat)
-    if return_basis:
-        return r, u[:, :r], vh[:r].conj().T
-    return r
+    return r, u[:, :r], vh[:r].conj().T
 
 
 @dataclass(frozen=True)
@@ -459,7 +453,7 @@ def hodge_ranks_numeric(graph, z) -> HodgeData:
     kernel, imd, imdelta, projs = [], [], [], []
     bases = {}
     for k in range(graph.n):
-        bases[k] = _svd_rank(cx.differentials[k], return_basis=True)
+        bases[k] = _svd_rank(cx.differentials[k])
     for k in range(graph.n + 1):
         nk = cx.degrees[k]
         rank_in = bases[k - 1][0] if k - 1 in bases else 0
@@ -481,17 +475,10 @@ def hodge_ranks_numeric(graph, z) -> HodgeData:
     return HodgeData(tuple(kernel), tuple(imd), tuple(imdelta), tuple(projs))
 
 
-def analyze_ranks(graph, z, betti=None) -> RankProfile:
-    """Rank recursion cross-validated against the numeric Hodge dimensions.
-
-    ``betti`` may supply the stable cohomology ranks; a mismatch with the
-    numeric kernels is an error, never silently reconciled.
-    """
+def analyze_ranks(graph, z) -> RankProfile:
+    """Rank recursion cross-validated against the numeric Hodge dimensions;
+    a mismatch is an error, never silently reconciled."""
     data = hodge_ranks_numeric(graph, z)
-    if betti is not None and tuple(betti) != data.kernel_dims:
-        raise InfeasibleError(
-            f"supplied betti {tuple(betti)} != numeric kernels {data.kernel_dims}"
-        )
     profile = rank_sequence(graph.counts, data.kernel_dims)
     if profile.m1[1:] != data.image_d_dims[1:]:
         raise StateError(
@@ -659,9 +646,12 @@ def projection_law_check(graph, mu_values, nu=0.0):
     P^1_k projects onto the image of the degree-(k-1) differential and the
     inverse is the one of the restricted isomorphism.  Both come from one
     economy SVD of the shifted differential, U S V* with numeric rank r:
-    P^1 = U_r U_r* and d_z^{-1} P^1 = V_r S_r^{-1} U_r*, so the deviation
-    is the spectral norm of the m x r matrix e^{a_k} (shifted(z-1) V_r
-    S_r^{-1} - U_r), U_r* keeping every nonzero singular value.
+    P^1 = U_r U_r* and d_z^{-1} P^1 = V_r S_r^{-1} U_r*.  As shifted(z)
+    V_r = U_r S_r, the deviation is the spectral norm of the m x r matrix
+    e^{a_k} (shifted(z-1) - shifted(z)) V_r S_r^{-1}.  The difference is
+    built entry by entry as sign e^{z (w + a_k)} expm1(-(w + a_k)), so it
+    vanishes on the leading edges and suffers no cancellation as the two
+    matrices approach each other.
     Returns {k: [deviation per mu]} plus fitted exponential decay rates.
     """
     report = tightness_check(graph)
@@ -678,12 +668,15 @@ def projection_law_check(graph, mu_values, nu=0.0):
             if sz.size == 0:
                 devs[k].append(0.0)
                 continue
-            rank, u, s, vh = _svd(sz)
+            rank, _, s, vh = _svd(sz)
             if rank == 0:
                 devs[k].append(0.0)
                 continue
-            szm1 = shifted_differential(graph, z - 1.0, k - 1, ak)
-            defect = (szm1 @ vh[:rank].conj().T) / s[:rank] - u[:, :rank]
+            step = _edge_matrix(
+                graph, k - 1,
+                lambda sg, w: sg * np.exp(z * (w + ak)) * np.expm1(-(w + ak)),
+            )
+            defect = (step @ vh[:rank].conj().T) / s[:rank]
             devs[k].append(float(np.exp(ak) * np.linalg.norm(defect, 2)))
     rates = {}
     mu_arr = np.asarray(mu_values, float)

@@ -5,9 +5,11 @@ coefficient vectors to degree-(k+1) vectors with d_{k+1} d_k = 0.  This module
 assembles the associated Laplacians, decomposes them, splits their spectra at
 the fixed threshold 1, and evaluates heat supertraces and spectral zeta sums.
 
-Everything is dense and exact at desk scale; values are immutable after
-construction, so instances can be shared freely between threads and parameter
-sweeps can run in parallel.
+Everything is dense and exact at desk scale.  A complex never changes after
+construction.  A Laplacian family's matrices never change either, but
+:func:`eigendecompose` (and every function that needs spectra) writes the
+spectra onto the family, unsynchronised: decompose a family once before
+sharing it between threads.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class GradedMatrixComplex:
         certified separately at the graph level.
     """
 
-    def __init__(self, differentials, degrees=None, label="", exact=False):
+    def __init__(self, differentials, degrees=None, exact=False):
         mats = [np.asarray(d, dtype=complex) for d in differentials]
         if degrees is None:
             if not mats:
@@ -116,7 +118,6 @@ class GradedMatrixComplex:
                 )
         self.degrees = degrees
         self.differentials = tuple(mats)
-        self.label = label
         self.exact = bool(exact)
         self._check_square()
 
@@ -412,18 +413,16 @@ def heat_supertrace(family, weight, t, subset="all") -> complex:
     )
 
 
-def zeta_via_spectrum(family, weight, s, lambda_cut=0.0, graded=True) -> complex:
+def zeta_via_spectrum(family, weight, s, graded=True) -> complex:
     """Finite eigen-sum  sum_j  lambda_j^{-s} <B psi_j, psi_j>.
 
-    Only eigenvalues above max(lambda_cut, numeric kernel threshold) enter,
-    so the kernel never contributes.  With ``graded`` set, degree k carries
-    the sign (-1)^k.  Sums are exact at desk scale; no meromorphic
-    continuation is attempted.
+    Only eigenvalues above the numeric kernel threshold enter, so the kernel
+    never contributes.  With ``graded`` set, degree k carries the sign
+    (-1)^k.  Sums are exact at desk scale; no meromorphic continuation is
+    attempted.
     """
-    if lambda_cut < 0:
-        raise DomainError("lambda_cut must be nonnegative")
     family.require_spectra()
-    cut = max(float(lambda_cut), family.kernel_tolerance())
+    cut = family.kernel_tolerance()
     s = complex(s)
     return _graded_sum(
         family, weight, lambda w: w > cut, lambda w: w ** (-s), graded

@@ -66,21 +66,15 @@ class PrescriptionProblem:
         self.raw_amplitude = max(np.abs(graph._weight).tolist(), default=0.0)
 
 
-def choose_constants(problem_or_graph, a1=None) -> float:
+def choose_constants(problem: PrescriptionProblem) -> float:
     """Pick the uniform-shift constant C = (A + a_1)/2 with A = max |w'|.
 
     Both strict inequalities C > A and a_1 > C + A must hold, which needs
     a_1 > 3A; the hard feasibility boundary is a_1 > 2A, so inputs in
     between are rejected as below the safety margin.
     """
-    if isinstance(problem_or_graph, PrescriptionProblem):
-        amp = problem_or_graph.raw_amplitude
-        a1 = problem_or_graph.targets[0] if a1 is None else float(a1)
-    else:
-        amp = max(np.abs(problem_or_graph._weight).tolist(), default=0.0)
-        if a1 is None:
-            raise DomainError("a1 required when passing a bare graph")
-        a1 = float(a1)
+    amp = problem.raw_amplitude
+    a1 = problem.targets[0]
     if a1 <= 2.0 * amp:
         raise InfeasibleTargets(
             f"a_1 = {a1} is infeasible: needs a_1 > 2 max|w'| = {2 * amp}"

@@ -133,7 +133,7 @@ def _components(spec):
 class PairingResult:
     value: complex
     mu: float
-    order: str  # label only: both orders evaluate the same quadrature
+    order: str  # a tag only: both orders evaluate the same quadrature
     radius: float  # the widest component's truncation radius
     tail_bound: float  # omitted f-hat mass; error <= it x sup |zeta| beyond
     node_count: int
@@ -202,7 +202,6 @@ class DeltaLimitRow:
 @dataclass(frozen=True)
 class DeltaLimitReport:
     rows: tuple
-    target: float
     extrapolated: dict  # sigma -> limit estimate from the 1/mu fit
 
     def csv_rows(self):
@@ -231,4 +230,4 @@ def delta_limit_report(system, mu_sweep, specs, target, order="outer"):
         inv_mu = 1.0 / np.asarray(mu_sweep, dtype=float)
         coeffs = np.polyfit(inv_mu, np.asarray(values), 1)
         extrapolated[spec.sigma] = float(coeffs[1])
-    return DeltaLimitReport(tuple(rows), float(target), extrapolated)
+    return DeltaLimitReport(tuple(rows), extrapolated)

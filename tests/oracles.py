@@ -130,7 +130,7 @@ def cutoff_state_loop(system, z, p_idx):
     mu, nu = complex(z).real, complex(z).imag
     r_hat = 0.5 * system.r
     rho = default_cutoff(r_hat)
-    a_mu, _ = cutoff_normalization(mu, r_hat, rho, n=1)
+    a_mu, _ = cutoff_normalization(mu, r_hat)
     normalizer = (mu / np.pi) ** 0.25 * a_mu
     p = system.zeros[p_idx].position
     vals = np.zeros(system.N, dtype=complex)
@@ -159,7 +159,7 @@ def torus_tensor(sys_a, sys_b, z):
     d0 = np.vstack([np.kron(da, ib), np.kron(ia, db)])
     d1 = np.hstack([-np.kron(ia, db), np.kron(da, ib)])
     n = sys_a.N * sys_b.N
-    return GradedMatrixComplex([d0, d1], (n, 2 * n, n), label=f"torus z={z}")
+    return GradedMatrixComplex([d0, d1], (n, 2 * n, n))
 
 
 def torus_function_weight(sys_a, sys_b):

@@ -336,7 +336,7 @@ def test_zeta_past_tunnelling_horizon_leaves_continuum(exact4):
 
 def _uncached(system):
     fresh = copy.copy(system)
-    fresh._zeta_cache, fresh._sigma_cache = {}, {}
+    fresh._spectra = {}
     return fresh
 
 
@@ -366,7 +366,7 @@ def test_singular_values_share_zeta_data_sigma(tight2):
     values = system.singular_values(z)
     assert system.singular_values(z) is values
     data = system.zeta_data(z)
-    assert z not in system._sigma_cache
+    assert system._spectra[z] is data
     assert system.singular_values(z) is data.sigma
 
 
@@ -564,17 +564,34 @@ def test_zeta_cache_is_bounded_fifo(monkeypatch):
     monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
     zs = [complex(1.0, nu) for nu in range(8)]
     # the full payloads and the values-only spectra are bounded alike
-    for method, cache in (("zeta_data", "_zeta_cache"),
-                          ("singular_values", "_sigma_cache")):
+    for method in ("zeta_data", "singular_values"):
         system = wl.CircleWittenSystem.from_standard_zeros(
             [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8
         )
         for i, z in enumerate(zs):
             data = getattr(system, method)(z)
             assert getattr(system, method)(z) is data
-            held = getattr(system, cache)
-            assert len(held) <= 3
-            assert list(held) == zs[max(0, i - 2): i + 1]
+            assert list(system._spectra) == zs[max(0, i - 2): i + 1]
+
+
+def test_one_cache_holds_both_kinds_of_entry(monkeypatch):
+    # values-only entries and full payloads share the bound; a payload
+    # replaces the values-only entry of its parameter and moves to the end,
+    # and a payload hit does not move
+    monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
+    system = wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=8
+    )
+    z0, z1, z2, z3 = (complex(1.0, nu) for nu in range(4))
+    system.singular_values(z0)
+    system.zeta_data(z1)
+    system.singular_values(z2)
+    data = system.zeta_data(z0)
+    assert list(system._spectra) == [z1, z2, z0]
+    assert system.singular_values(z0) is data.sigma
+    system.zeta_data(z1)
+    system.singular_values(z3)
+    assert list(system._spectra) == [z2, z0, z3]
 
 
 # -- torus -------------------------------------------------------------------------

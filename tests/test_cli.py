@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from wittenlab import cli, model, morse
+from wittenlab import circle, cli, model, morse
 from wittenlab.errors import (
     AmbiguousKernel,
+    ConvergenceError,
     DataError,
     InvariantViolation,
     NotAComplex,
@@ -194,6 +195,43 @@ def test_library_errors_map_to_exit_codes(monkeypatch, exc_type, expected):
 
     monkeypatch.setattr(model, "numeric_model_check", fail)
     assert run("model", "check", "--mu", "4") == expected
+
+
+def _malformed_input(kind, tmp_path):
+    """argv of a CLI call whose input is malformed in the way ``kind`` names."""
+    if kind == "directory":
+        return ["morse", "analyze", "--graph", str(tmp_path), "--mu", "20"]
+    if kind == "graph_sign":
+        graph = tmp_path / "bad.graph"
+        graph.write_text("v p 1\nv q 0\ne p q x -0.5\n")
+        return ["morse", "analyze", "--graph", str(graph), "--mu", "20"]
+    cfg = json.loads((DATA / "two_zero_exact.json").read_text())
+    if kind == "grid_text":
+        cfg["N"] = "abc"
+    else:
+        del cfg["zeros"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    return ["circle", "zeta", "--config", str(bad), "--mu", "10"]
+
+
+@pytest.mark.parametrize("kind", ["graph_sign", "grid_text", "no_zeros", "directory"])
+def test_malformed_input_exits_3(kind, tmp_path, capsys):
+    assert run(*_malformed_input(kind, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_h_channel_guard_raises_and_exits_3(monkeypatch, capsys):
+    # no known system makes the oscillation guard fire; forcing it shows
+    # what a firing guard does to the library call and to the CLI
+    monkeypatch.setattr(circle, "oscillating", lambda result: True)
+    config = str(DATA / "two_zero_exact.json")
+    with pytest.raises(ConvergenceError, match="oscillates"):
+        circle.zeta_invariant(cli.load_system(config), complex(10.0, 0.0))
+    assert run("circle", "zeta", "--config", config, "--mu", "10") == 3
+    assert "oscillates" in capsys.readouterr().err
 
 
 def test_morse_analyze_not_a_complex_exits_4(tmp_path, capsys):

@@ -100,9 +100,19 @@ def test_cutoff_trivial_gaussian():
     assert val ** 0.5 == pytest.approx((np.pi / 7.0) ** 0.25)
 
 
-def test_cutoff_validation():
+def test_default_cutoff_is_admissible():
+    # the one cutoff cutoff_normalization integrates: even, 1 on [-r, r],
+    # zero at 2r and beyond, valued in [0, 1]; a nonpositive radius raises
+    r = 0.7
+    rho = model.default_cutoff(r)
+    xs = np.linspace(0.0, 2.0 * r, 257)
+    vals = rho(xs)
+    assert np.max(np.abs(vals - rho(-xs))) <= 1e-12
+    assert np.max(np.abs(vals[xs <= r] - 1.0)) <= 1e-12
+    assert abs(rho(2.0 * r)) <= 1e-12 and abs(rho(2.5 * r)) <= 1e-12
+    assert np.min(vals) >= 0.0 and np.max(vals) <= 1.0
     with pytest.raises(DomainError):
-        model.cutoff_normalization(5.0, 1.0, rho=lambda x: np.abs(x))
+        model.default_cutoff(0.0)
 
 
 @pytest.mark.parametrize("mu", [4.0, 16.0])

@@ -166,11 +166,6 @@ def test_betti_conjugation_symmetry(tensor_graph):
     assert a == b
 
 
-def test_analyze_ranks_betti_mismatch(tight2_graph):
-    with pytest.raises(InfeasibleError):
-        morse.analyze_ranks(tight2_graph, 12.0, betti=(1, 1))
-
-
 # -- tightness, leading part, windows ----------------------------------------------
 
 
@@ -353,6 +348,21 @@ def test_projection_law_nu_uniformity(tight2_graph):
 
 
 
+def test_projection_law_closed_form_on_tight2(tight2_graph):
+    # one index-1 vertex, a leading edge of weight -a_1 and an edge of the
+    # opposite sign lower by the gap g: the deviation is
+    # e^{a_1} (A - B) / (1 - B) with A = e^{-g (mu - 1)} and B = e^{-g mu}
+    mus = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+    lead, sub = sorted((e.weight for e in tight2_graph.edges), reverse=True)
+    a1 = -lead
+    gap = -(sub + a1)
+    devs, _ = morse.projection_law_check(tight2_graph, mus)
+    for mu, dev in zip(mus, devs[1]):
+        b = np.exp(-gap * mu)
+        want = np.exp(a1) * b * np.expm1(gap) / -np.expm1(-gap * mu)
+        assert dev == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def _bench_tensor_graphs(seed, monkeypatch):
     """The graphs of the benchmark's tensor job in cycle 1 of ``seed``:
     tensor powers of tight rings of shapes (4, 2), (3, 3) and (8, 2)."""
@@ -367,8 +377,9 @@ def _bench_tensor_graphs(seed, monkeypatch):
 def test_projection_law_matches_pinv_reference(nu, tight2_graph, tensor_graph,
                                                monkeypatch):
     # on tight2 the deviation is 1 - (1 - e^{-1.75(mu-1)}) / (1 - e^{-1.75 mu})
-    # up to a factor, so past mu = 8 cancellation leaves both codes far from
-    # the exact value (1e-6 relative at mu = 14, against 50-digit arithmetic)
+    # up to a factor, so past mu = 8 cancellation leaves the pinv reference
+    # far from the exact value (1e-6 relative at mu = 14, against 50-digit
+    # arithmetic); test_projection_law_closed_form_on_tight2 covers mu <= 14
     cases = [(tight2_graph, [2.0, 4.0, 6.0, 8.0]), (tensor_graph, [2.0, 4.0, 6.0])]
     for seed in (1, 2, 3):
         cases += [(g, [2.0, 4.0, 6.0]) for g in _bench_tensor_graphs(seed, monkeypatch)]
@@ -381,7 +392,7 @@ def test_projection_law_matches_pinv_reference(nu, tight2_graph, tensor_graph,
             assert devs[k] == pytest.approx(want[k], rel=1e-8, abs=0.0)
             assert rates[k] == pytest.approx(want_rates[k], rel=0.0, abs=1e-8)
             ranks = [morse._svd_rank(morse.shifted_differential(
-                g, complex(mu, nu), k - 1, a[k - 1])) for mu in mus]
+                g, complex(mu, nu), k - 1, a[k - 1]))[0] for mu in mus]
             assert ranks == want_ranks[k]
             assert min(ranks) > 0
 

@@ -26,31 +26,29 @@ def small_problem():
     return wp.PrescriptionProblem(graph, [4.0])
 
 
+def one_edge_problem(weight, a1):
+    g = InstantonGraph(
+        [("p", 1), ("q", 0)], [("p", "q", 1, weight)], require_negative=False
+    )
+    return wp.PrescriptionProblem(g, [a1])
+
+
 def test_choose_constants_example():
     prob = small_problem()
     assert prob.raw_amplitude == pytest.approx(0.7)
-    g = InstantonGraph(
-        [("p", 1), ("q", 0)], [("p", "q", 1, 1.0)], require_negative=False
-    )
-    assert wp.choose_constants(g, 4.0) == pytest.approx(2.5)
+    assert wp.choose_constants(one_edge_problem(1.0, 4.0)) == pytest.approx(2.5)
 
 
 def test_choose_constants_exact_class():
-    g = InstantonGraph(
-        [("p", 1), ("q", 0)], [("p", "q", 1, 0.0)], require_negative=False
-    )
-    assert wp.choose_constants(g, 3.0) == pytest.approx(1.5)
+    assert wp.choose_constants(one_edge_problem(0.0, 3.0)) == pytest.approx(1.5)
 
 
 def test_choose_constants_infeasible():
-    g = InstantonGraph(
-        [("p", 1), ("q", 0)], [("p", "q", 1, 1.0)], require_negative=False
-    )
     with pytest.raises(InfeasibleTargets):
-        wp.choose_constants(g, 2.0)
+        wp.choose_constants(one_edge_problem(1.0, 2.0))
     # between the hard boundary 2A and the safety margin 3A
     with pytest.raises(InfeasibleTargets):
-        wp.choose_constants(g, 2.5)
+        wp.choose_constants(one_edge_problem(1.0, 2.5))
 
 
 def test_initialize_weights_window():
@@ -232,7 +230,8 @@ def test_escape_costs_match_scan_oracle():
             oracles.escape_costs_scan(g).items()
         )
         weights = list(rng.normal(size=len(g.edges)))
-        assert list(g.escape_costs(weights).items()) == list(
+        reweighted = g.reweighted(weights, require_negative=False)
+        assert list(reweighted.escape_costs().items()) == list(
             oracles.escape_costs_scan(g, weights).items()
         )
 
