@@ -33,7 +33,7 @@ from .errors import (
     StateError,
     StructureError,
 )
-from .spectral import GradedMatrixComplex, kernel_threshold
+from .spectral import KERNEL_TOL_FACTOR, GradedMatrixComplex
 
 __all__ = [
     "InstantonGraph",
@@ -410,10 +410,18 @@ def rank_sequence(counts, betti) -> RankProfile:
     return RankProfile(counts, betti, m, tuple(m1), tuple(m2))
 
 
+def _nonzero(s):
+    """Mask of the singular values s (descending) that count as nonzero:
+    those above KERNEL_TOL_FACTOR times the largest.  The rule has no
+    absolute floor, so a graph differential that is exponentially small as a
+    whole keeps its rank."""
+    return s > KERNEL_TOL_FACTOR * s[0]
+
+
 def _svd(mat):
     """Numeric rank of a nonempty ``mat`` and its economy SVD u, s, vh."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return int(np.count_nonzero(s > kernel_threshold(s[0]))), u, s, vh
+    return int(np.count_nonzero(_nonzero(s))), u, s, vh
 
 
 def _svd_rank(mat):
@@ -444,10 +452,11 @@ class HodgeData:
 def hodge_ranks_numeric(graph, z) -> HodgeData:
     """Ranks and orthogonal projections of the Hodge splitting at z.
 
-    Ranks come from singular values with per-matrix relative thresholds, so
-    they stay correct even when the whole differential is exponentially
-    small.  Projections are Hermitian idempotents to 1e-10 times the degree
-    size, in the Frobenius norm.
+    The rank of each differential counts its singular values above
+    KERNEL_TOL_FACTOR times its largest one, with no absolute floor, so the
+    ranks stay correct when the whole differential is exponentially small.
+    Projections are Hermitian idempotents to 1e-10 times the degree size,
+    in the Frobenius norm.
     """
     cx = build_differential(graph, z)
     kernel, imd, imdelta, projs = [], [], [], []
@@ -594,7 +603,7 @@ def small_spectrum_window(graph, z):
             out.append(np.zeros(0))
             continue
         s = np.linalg.svd(shifted, compute_uv=False)
-        out.append(np.sort(s[s > kernel_threshold(s[0])]) ** 2)
+        out.append(np.sort(s[_nonzero(s)]) ** 2)
     return out
 
 

@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 #: Relative scale for treating an eigenvalue or a singular value as zero, in
-#: every kernel threshold and rank of the package; read only by
-#: :func:`kernel_threshold`.
+#: every kernel threshold and rank of the package: :func:`kernel_threshold`
+#: adds it as an absolute floor, and graph ranks (``morse``) scale it by the
+#: largest singular value alone.
 KERNEL_TOL_FACTOR = 1e-9
 #: A kernel count is ambiguous when some value lies within this factor of the
 #: kernel threshold, on either side.

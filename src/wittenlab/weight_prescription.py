@@ -52,6 +52,8 @@ class PrescriptionProblem:
     def __init__(self, graph: InstantonGraph, targets):
         self.graph = graph
         self.targets = tuple(float(a) for a in targets)
+        if graph.n == 0:
+            raise DomainError("top index 0: there are no per-index costs to prescribe")
         if len(self.targets) != graph.n:
             raise DomainError(
                 f"need {graph.n} targets for top index {graph.n}, "
@@ -165,11 +167,6 @@ def prescribe_stages(graph: InstantonGraph, targets):
 def prescribe(problem: PrescriptionProblem) -> PrescriptionResult:
     """Full pipeline: choose C, shift by -C, then run the stages."""
     shifted, c = initialize_weights(problem)
-    if problem.graph.n == 0:
-        return PrescriptionResult(
-            problem, c, {v: 0.0 for v in problem.graph.vertices},
-            shifted, (),
-        )
     phi, final, stages = prescribe_stages(shifted, problem.targets)
     return PrescriptionResult(problem, c, phi, final, stages)
 

@@ -25,10 +25,10 @@ there it bounds the frequency truncation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .circle import zeta_invariant
 from .errors import ConvergenceError, DomainError
@@ -119,7 +119,7 @@ class GaussianTestFunction:
         this times the sup of |zeta(1, mu + i nu)| over |nu| > radius."""
         return (
             abs(self.amplitude)
-            * erfc(self.sigma * radius / np.sqrt(2.0))
+            * math.erfc(self.sigma * radius / math.sqrt(2.0))
         )
 
 

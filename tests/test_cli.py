@@ -121,6 +121,37 @@ def test_circle_gap(capsys):
     assert code == 0
 
 
+_SCIPY_CHECK = """
+import sys
+from wittenlab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+argv = sys.argv[1:]
+cut = argv.index("--")
+assert cli.main(argv[:cut]) == 0
+assert cli.main(argv[cut + 1:]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_import_and_readme_commands_load_no_scipy():
+    # only the finite-difference model check and zero location on sampled
+    # profiles load SciPy; the import and these README commands do not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHECK,
+         "circle", "zeta", "--config", str(DATA / "two_zero_exact.json"), "--mu", "30",
+         "--", "morse", "analyze", "--graph", str(DATA / "s1.graph"), "--mu", "20"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "zeta1=" in proc.stdout and "z_sm       = 0.45" in proc.stdout
+
+
 @pytest.mark.parametrize("threads", ["1", None])
 def test_circle_gap_two_zero_exact_has_no_slope(threads):
     # the small branch of an exact two-zero form is the kernel alone, whose
@@ -250,6 +281,16 @@ def test_morse_analyze(capsys):
     assert code == 0
     assert "m1         = (0, 1)" in out
     assert "z_sm" in out
+
+
+@pytest.mark.parametrize("mu", ["46.2", "60", "120"])
+def test_morse_analyze_exponentially_small_differential(capsys, mu):
+    code = run("morse", "analyze", "--graph", str(DATA / "s1.graph"),
+               "--mu", mu)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "betti      = (0, 0)" in out
+    assert "z_sm       = 0.45\n" in out
 
 
 def test_prescribe_verify_roundtrip(tmp_path):

@@ -93,6 +93,41 @@ def test_cutoff_normalization_exponential_sweep():
     assert all(s < -0.5 for s in slopes)
 
 
+def _quad_cutoff_integral(mu, r):
+    rho = model.default_cutoff(r)
+    val, _ = integrate.quad(
+        lambda x: float(rho(x)) ** 2 * np.exp(-mu * x * x),
+        -2.0 * r, 2.0 * r, epsabs=1e-14, epsrel=1e-13, limit=200,
+    )
+    return val
+
+
+def test_cutoff_normalization_matches_adaptive_quadrature():
+    # the trapezoidal sum against adaptive quadrature of the same integrand
+    worst = 0.0
+    for mu in np.logspace(-1.0, 4.0, 11):
+        for r in np.linspace(0.05, 3.0, 7):
+            a_mu, _ = model.cutoff_normalization(mu, r)
+            ref = _quad_cutoff_integral(mu, r) ** 0.5
+            worst = max(worst, abs(a_mu - ref) / ref)
+    assert worst <= 1e-13
+
+
+def test_cutoff_normalization_wide_support_narrow_gaussian():
+    # mu r^2 = 1e8: the Gaussian is 1e-4 wide on a support of width 4;
+    # the sum still resolves it, and rho = 1 there, so a_mu^4 = pi/mu
+    a_mu, dev = model.cutoff_normalization(1e8, 1.0)
+    assert abs(dev) <= 1e-14
+    assert a_mu == pytest.approx((np.pi / 1e8) ** 0.25, rel=1e-14)
+
+
+def test_cutoff_normalization_unresolved_raises(monkeypatch):
+    # with 8 panels the sum and its 4-panel half disagree far above 1e-10
+    monkeypatch.setattr(model, "_CUTOFF_PANELS", 8)
+    with pytest.raises(NumericalError, match="cutoff quadrature error"):
+        model.cutoff_normalization(1.0, 1.0)
+
+
 def test_cutoff_trivial_gaussian():
     # rho == 1 on a huge interval: the integral is the pure Gaussian one
     rho = lambda x: np.ones_like(np.asarray(x, dtype=float))

@@ -16,6 +16,7 @@ from wittenlab.morse import InstantonGraph
 from oracles import brute_ranks, edge_matrix_loop, projection_law_pinv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+DATA = Path(__file__).parent / "data"
 
 
 def two_vertex_graph(w1=-0.45, w2=-2.2, s1=1, s2=-1):
@@ -164,6 +165,25 @@ def test_betti_conjugation_symmetry(tensor_graph):
     a = morse.hodge_ranks_numeric(tensor_graph, z).kernel_dims
     b = morse.hodge_ranks_numeric(tensor_graph, z.conjugate()).kernel_dims
     assert a == b
+
+
+@pytest.mark.parametrize("mu", [46.2, 60.0, 120.0])
+def test_ranks_of_an_exponentially_small_differential(mu):
+    # d_mu = e^{-0.45 mu} - e^{-2.2 mu} falls below 1e-9 at mu = 46.05;
+    # it is still a nonzero 1 x 1 differential, so nothing is harmonic
+    g = InstantonGraph.load(DATA / "s1.graph")
+    profile = morse.analyze_ranks(g, complex(mu, 0.0))
+    assert profile.betti == (0, 0)
+    assert profile.m1 == (0, 1)
+    assert morse.z_invariants(g, profile.m1).small_limit == 0.45
+    (window,) = morse.small_spectrum_window(g, complex(mu, 0.0))
+    assert window.shape == (1,)
+
+
+@pytest.mark.parametrize("mu", [60.0, 120.0])
+def test_tensor_ranks_of_exponentially_small_differentials(tensor_graph, mu):
+    assert morse.hodge_ranks_numeric(tensor_graph, mu).kernel_dims == (0, 0, 0)
+    assert morse.analyze_ranks(tensor_graph, mu).betti == (0, 0, 0)
 
 
 # -- tightness, leading part, windows ----------------------------------------------

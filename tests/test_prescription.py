@@ -134,6 +134,13 @@ def test_targets_validation():
         wp.PrescriptionProblem(g, [4.0])  # wrong length
 
 
+def test_top_index_zero_rejected():
+    # no positive index, so no per-index cost exists to prescribe
+    g = InstantonGraph([("q1", 0), ("q2", 0)], [])
+    with pytest.raises(DomainError, match="top index 0"):
+        wp.PrescriptionProblem(g, [])
+
+
 def test_isolated_positive_vertex_rejected():
     g = InstantonGraph(
         [("p", 1), ("q", 0), ("p2", 1)],

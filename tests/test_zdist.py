@@ -20,6 +20,22 @@ def test_gaussian_transform_consistency(gaussian):
     assert val == pytest.approx(gaussian.at_zero, abs=1e-10)
 
 
+def test_tail_bound_matches_scipy_erfc():
+    # math.erfc against scipy.special.erfc over sigma * radius / sqrt(2) in
+    # [0, 6.5], which holds the pairing's own argument 8 / sqrt(2); deeper
+    # in the tail the two functions drift apart by up to 6e-14
+    from scipy.special import erfc
+
+    worst = 0.0
+    for sigma in (0.25, 0.5, 1.0, 2.0, 3.0):
+        g = zdist.GaussianTestFunction(sigma, amplitude=1.7)
+        radii = [g.truncation_radius, *np.linspace(0.0, 9.0, 46) / sigma]
+        for radius in radii:
+            ref = 1.7 * erfc(sigma * radius / np.sqrt(2.0))
+            worst = max(worst, abs(g.tail_bound(radius) - ref) / ref)
+    assert worst <= 1e-14
+
+
 def test_gaussian_validation():
     with pytest.raises(DomainError):
         zdist.GaussianTestFunction(0.0)
