@@ -308,40 +308,52 @@ def _edge_matrix(graph, k, entry):
     return mat
 
 
+def _group_starts(weights):
+    """Starts of the groups of ascending ``weights``: a weight and the later
+    ones within _WEIGHT_EQ_TOL of it (a nan alone, as it is not within)."""
+    starts, i = [], 0
+    while i < len(weights):
+        starts.append(i)
+        anchor, i = weights[i], i + 1
+        while i < len(weights) and abs(weights[i] - anchor) <= _WEIGHT_EQ_TOL:
+            i += 1
+    return starts
+
+
 def _check_squares_combinatorial(graph):
     """Exact d^2 = 0 certificate: for every two-step pair (r, q), the signed
-    edge pairs must cancel within groups of equal total weight."""
+    edge pairs must cancel within groups of equal total weight, formed by
+    :func:`_group_starts` (pairs in order of first appearance).  No group
+    crosses a run end (a new pair, or a weight step above the tolerance), so
+    only runs wider than the tolerance need splitting."""
     # every path e1: p -> q, e2: q -> r, in edge order of e1 and then of e2
     start, mid, nv = graph._out_start, graph._dst, len(graph.vertices)
     fan = np.diff(start)[mid]
     e1 = np.repeat(np.arange(len(mid)), fan)
     skip = np.repeat(start[mid] - np.cumsum(fan) + fan, fan)
     e2 = graph._out_edges[np.arange(len(e1)) + skip]
-    # endpoint pairs in order of first appearance, weights ascending within
     keys, seen, pair = np.unique(graph._src[e1] * nv + mid[e2], return_index=True,
                                  return_inverse=True)
     weight = graph._weight[e1] + graph._weight[e2]
     order = np.lexsort((weight, np.argsort(np.argsort(seen))[pair]))
-    keys, weights = keys[pair[order]].tolist(), weight[order].tolist()
-    signs = (graph._sign[e1] * graph._sign[e2])[order].tolist()
-    i = 0
-    while i < len(weights):
-        j = i
-        total = 0
-        while (
-            j < len(weights)
-            and keys[j] == keys[i]
-            and abs(weights[j] - weights[i]) <= _WEIGHT_EQ_TOL
-        ):
-            total += signs[j]
-            j += 1
-        if total != 0:
-            raise NotAComplex(
-                f"two-step paths {graph.vertices[keys[i] // nv]!r} -> "
-                f"{graph.vertices[keys[i] % nv]!r} do not cancel at weight "
-                f"{weights[i]:.6g} (signed count {total})"
-            )
-        i = j
+    key, weight = keys[pair[order]], weight[order]
+    first = np.flatnonzero((np.diff(key, prepend=-1) != 0)
+                           | (np.diff(weight, prepend=-np.inf) > _WEIGHT_EQ_TOL))
+    stop = np.append(first, len(key))[1:]
+    wide = ~(weight[stop - 1] - weight[first] <= _WEIGHT_EQ_TOL)  # a nan span too
+    starts = first[~wide].tolist()
+    for a, b in zip(first[wide].tolist(), stop[wide].tolist()):
+        starts += [a + i for i in _group_starts(weight[a:b].tolist())]
+    starts = np.sort(starts).astype(np.intp)
+    totals = np.add.reduceat((graph._sign[e1] * graph._sign[e2])[order], starts)
+    bad = np.flatnonzero(totals)
+    if len(bad):
+        i = starts[bad[0]]
+        p, r = divmod(int(key[i]), nv)
+        raise NotAComplex(
+            f"two-step paths {graph.vertices[p]!r} -> {graph.vertices[r]!r} do not "
+            f"cancel at weight {weight[i]:.6g} (signed count {totals[bad[0]]})"
+        )
 
 
 def build_differential(graph, z) -> GradedMatrixComplex:

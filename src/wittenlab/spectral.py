@@ -5,6 +5,10 @@ coefficient vectors to degree-(k+1) vectors with d_{k+1} d_k = 0.  This module
 assembles the associated Laplacians, decomposes them, splits their spectra at
 the fixed threshold 1, and evaluates heat supertraces and spectral zeta sums.
 
+Each check runs once: d^2 = 0 when a complex is built (it also bounds
+d_k D_k - D_{k+1} d_k), Hermitian symmetry when a family is built, and the
+residuals of each eigendecomposition.
+
 Everything is dense and exact at desk scale.  A complex never changes after
 construction.  A Laplacian family's matrices never change either, but
 :func:`eigendecompose` (and every function that needs spectra) writes the
@@ -173,17 +177,16 @@ class GradedMatrixComplex:
 
 
 class GradedLaplacianFamily:
-    """Hermitian Laplacians D_k = d_k^* d_k + d_{k-1} d_{k-1}^* per degree.
+    """Hermitian Laplacians D_k = d_k^* d_k + d_{k-1} d_{k-1}^* per degree,
+    and their spectra once :func:`eigendecompose` has run; nothing else.
 
-    Spectra are cached after :func:`eigendecompose`; the matrices themselves
-    never change after construction.  The constructor raises ShapeError when
-    a Hermitian defect ||m - m*||_F exceeds 1e-8 (1 + s), with s the lower
-    bound :func:`_norm2_lower_bound` of ||m||_2.
+    The matrices never change after construction.  The constructor raises
+    ShapeError when a Hermitian defect ||m - m*||_F exceeds 1e-8 (1 + s),
+    with s the lower bound :func:`_norm2_lower_bound` of ||m||_2.
     """
 
-    def __init__(self, laplacians, commutation_residuals=None):
+    def __init__(self, laplacians):
         self.laplacians = tuple(np.asarray(m, dtype=complex) for m in laplacians)
-        self.commutation_residuals = tuple(commutation_residuals or ())
         self.eigenvalues = None
         self.eigenframes = None
         for k, m in enumerate(self.laplacians):
@@ -229,19 +232,14 @@ class SpectralSplit:
 
 
 def assemble_laplacians(complex_: GradedMatrixComplex) -> GradedLaplacianFamily:
-    """Build the per-degree Laplacians of a graded complex.
+    """Build the per-degree Laplacians D_k = d_k^* d_k + d_{k-1} d_{k-1}^*.
 
-    Records the relative commutation residuals ||d_k D_k - D_{k+1} d_k||,
-    the discrete shadow of the intertwining of consecutive Laplacians by
-    the differential.  The numerator is a Frobenius norm and the scales
-    ||d_k||_2 and ||D_k||_2 are replaced by the lower bounds of
-    :func:`_norm2_lower_bound`, so each recorded value is an upper bound of
-    the relative 2-norm residual (5.0e-15 where that ratio is 3.7e-16 on
-    the N=64 two-zero circle complex at z=3).
+    Two products per differential and no check: the intertwining residual
+    ||d_k D_k - D_{k+1} d_k|| is at most ||d_k d_{k-1}|| ||d_{k-1}|| +
+    ||d_{k+1}|| ||d_{k+1} d_k||, which the complex's d^2 check bounds.
     """
-    n = complex_.top_degree
     laps = []
-    for k in range(n + 1):
+    for k in range(complex_.top_degree + 1):
         dk = complex_.differential(k)
         dkm1 = complex_.differential(k - 1)
         lap = np.zeros((complex_.degrees[k], complex_.degrees[k]), dtype=complex)
@@ -250,18 +248,7 @@ def assemble_laplacians(complex_: GradedMatrixComplex) -> GradedLaplacianFamily:
         if dkm1.size:
             lap += dkm1 @ dkm1.conj().T
         laps.append(lap)
-    residuals = []
-    for k in range(n):
-        dk = complex_.differential(k)
-        if not dk.size:
-            residuals.append(0.0)
-            continue
-        num = np.linalg.norm(dk @ laps[k] - laps[k + 1] @ dk)
-        den = _norm2_lower_bound(dk) * (
-            1.0 + max(_norm2_lower_bound(laps[k]), _norm2_lower_bound(laps[k + 1]))
-        )
-        residuals.append(num / den if den else 0.0)
-    return GradedLaplacianFamily(laps, residuals)
+    return GradedLaplacianFamily(laps)
 
 
 def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:

@@ -25,6 +25,7 @@ there it bounds the frequency truncation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ _R_SCALE = 8.0
 _QUAD_RTOL = 1e-9
 
 
+@functools.cache
 def _kronrod(n):
     """Gauss-Kronrod rule on [-1, 1] that extends the n-point Gauss-Legendre
     rule; exact for polynomials of degree 3n + 1 (n even) or 3n + 2 (n odd).
@@ -80,9 +82,6 @@ def _kronrod(n):
     moments[0] = 2.0
     wk = np.linalg.solve(leg.legvander(x, 2 * n).T, moments)
     return x, 0.5 * (wk + wk[::-1]), wg
-
-
-_X, _WK, _WG = _kronrod(32)
 
 
 @dataclass(frozen=True)
@@ -144,19 +143,20 @@ def _pair(system, mu, spec, order) -> PairingResult:
     """Gauss-Kronrod frequency quadrature of the zeta invariant, one rule
     per test function component on its own truncation radius."""
     specs = _components(spec)
+    x, wk, wg = _kronrod(32)  # built by the first pairing, not at import
     total = 0.0 + 0.0j
     error = mass = 0.0
     for s in specs:
         radius = s.truncation_radius
-        nodes = radius * _X
+        nodes = radius * x
         zeta = np.array(
             [zeta_invariant(system, complex(mu, nu)).value for nu in nodes]
         )
         terms = radius * s.hat(nodes) * zeta
-        kronrod = _WK @ terms
+        kronrod = wk @ terms
         total += kronrod
-        error += abs(kronrod - _WG @ terms[1::2])
-        mass += _WK @ np.abs(terms)
+        error += abs(kronrod - wg @ terms[1::2])
+        mass += wk @ np.abs(terms)
     error /= 2.0 * np.pi
     if error > _QUAD_RTOL * mass / (2.0 * np.pi):
         raise ConvergenceError(
@@ -170,7 +170,7 @@ def _pair(system, mu, spec, order) -> PairingResult:
         order=order,
         radius=max(s.truncation_radius for s in specs),
         tail_bound=float(sum(s.tail_bound(s.truncation_radius) for s in specs)),
-        node_count=len(specs) * len(_X),
+        node_count=len(specs) * len(x),
         quadrature_error=float(error),
     )
 

@@ -390,6 +390,46 @@ def squares_loop(graph):
     return None
 
 
+def squares_sorted_loop(graph):
+    """The square-zero certificate as one scan over every two-step path,
+    sorted by endpoint pair (in order of first appearance) and weight: each
+    group is a path and the later paths of its pair within 1e-9 of it.
+    Raises NotAComplex on the first group that does not cancel.  Finite
+    weights only: a path whose weight differs from itself (nan) joins no
+    group, so the scan stops advancing there."""
+    from wittenlab.errors import NotAComplex
+
+    start, mid, nv = graph._out_start, graph._dst, len(graph.vertices)
+    fan = np.diff(start)[mid]
+    e1 = np.repeat(np.arange(len(mid)), fan)
+    skip = np.repeat(start[mid] - np.cumsum(fan) + fan, fan)
+    e2 = graph._out_edges[np.arange(len(e1)) + skip]
+    keys, seen, pair = np.unique(graph._src[e1] * nv + mid[e2], return_index=True,
+                                 return_inverse=True)
+    weight = graph._weight[e1] + graph._weight[e2]
+    order = np.lexsort((weight, np.argsort(np.argsort(seen))[pair]))
+    keys, weights = keys[pair[order]].tolist(), weight[order].tolist()
+    signs = (graph._sign[e1] * graph._sign[e2])[order].tolist()
+    i = 0
+    while i < len(weights):
+        j = i
+        total = 0
+        while (
+            j < len(weights)
+            and keys[j] == keys[i]
+            and abs(weights[j] - weights[i]) <= 1e-9
+        ):
+            total += signs[j]
+            j += 1
+        if total != 0:
+            raise NotAComplex(
+                f"two-step paths {graph.vertices[keys[i] // nv]!r} -> "
+                f"{graph.vertices[keys[i] % nv]!r} do not cancel at weight "
+                f"{weights[i]:.6g} (signed count {total})"
+            )
+        i = j
+
+
 def graph_loop(vertices, edges, require_negative=True):
     """The instanton-graph constructor as one loop over the vertices and one
     over the edges, each edge checked in turn: unknown vertex, index drop,

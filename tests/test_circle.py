@@ -560,7 +560,7 @@ def test_phi_psi_matrix_normalizes_cutoff_once(exact4, monkeypatch):
 
 def test_zeta_cache_is_bounded_fifo(monkeypatch):
     # one delta_limit_report sweep: 3 strengths x 2 widths x the node count
-    assert circle._ZETA_CACHE_SIZE >= 3 * 2 * len(zdist._X)
+    assert circle._ZETA_CACHE_SIZE >= 3 * 2 * len(zdist._kronrod(32)[0])
     monkeypatch.setattr(circle, "_ZETA_CACHE_SIZE", 3)
     zs = [complex(1.0, nu) for nu in range(8)]
     # the full payloads and the values-only spectra are bounded alike

@@ -410,3 +410,90 @@ def test_non_idempotent_projection_raises(tensor_graph, monkeypatch):
     monkeypatch.setattr(morse, "_svd_rank", scaled_basis)
     with pytest.raises(StateError, match="not idempotent"):
         morse.hodge_ranks_numeric(tensor_graph, 7.0)
+
+
+def _ring_factor(rng, m, step):
+    """One-level instanton graph on a ring of m index-1 and m index-0
+    vertices: p_i -> q_i at -a and p_i -> q_{i-1} ``step`` below it.  A
+    single vertex pair (m = 1) carries both as parallel edges, so its tensor
+    powers have two-step paths at several weights a step apart."""
+    a = float(rng.uniform(0.2, 2.0))
+    vertices = [(f"p{i}", 1) for i in range(m)] + [(f"q{i}", 0) for i in range(m)]
+    edges = [(f"p{i}", f"q{i}", 1, -a) for i in range(m)]
+    edges += [(f"p{i}", f"q{(i - 1) % m}", -1, -a - step) for i in range(m)]
+    return InstantonGraph(vertices, edges)
+
+
+# path weight steps around _WEIGHT_EQ_TOL = 1e-9: chains spaced below it
+# (0.4, 0.6), just inside (0.999) and just outside (1.001) it, and generic
+STEPS = (0.4e-9, 0.6e-9, 0.999e-9, 1.001e-9, 1.6e-9, 0.7)
+
+
+def _square_outcome(check, graph):
+    try:
+        check(graph)
+    except NotAComplex as exc:
+        return str(exc)
+    return None
+
+
+def test_square_certificate_matches_scan_on_ring_tensors(monkeypatch):
+    # tensor products of random rings, then sign flips (which break
+    # cancellation) and weight shifts just inside and just outside the
+    # tolerance: the grouped certificate raises exactly when the
+    # path-by-path scan does, with the same message
+    scanned, scan = [], morse._group_starts
+    monkeypatch.setattr(morse, "_group_starts",
+                        lambda w: scanned.append(len(w)) or scan(w))
+    rng = np.random.default_rng(1717)
+    raised = with_scan = 0
+    for _ in range(150):
+        factors = [_ring_factor(rng, int(rng.integers(1, 4)), float(rng.choice(STEPS)))
+                   for _ in range(int(rng.integers(2, 4)))]
+        graph = factors[0]
+        for g in factors[1:]:
+            graph = morse.graph_tensor(graph, g)
+        rows = [list(row) for row in graph._edge_rows()]
+        for e in rng.choice(len(rows), rng.choice([0, 0, 1, 2]), replace=False):
+            rows[e][2] = -rows[e][2]
+        if rng.random() < 0.5:
+            e = int(rng.integers(len(rows)))
+            rows[e][3] += float(rng.choice([-1.0, 1.0]) * rng.choice(
+                [0.5e-9, 0.999e-9, 1.001e-9, 2e-9]))
+        graph = InstantonGraph(list(graph.index_of.items()), rows)
+        want = _square_outcome(oracles.squares_sorted_loop, graph)
+        before = len(scanned)
+        assert _square_outcome(morse._check_squares_combinatorial, graph) == want
+        raised += want is not None
+        with_scan += len(scanned) > before
+    # both outcomes, and chains wider than the tolerance, are exercised
+    assert 30 <= raised <= 120 and with_scan >= 10
+
+
+@pytest.mark.parametrize("signs", [(1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
+                                   (1, -1, 1, 1), (1, 1, 1, 1)])
+def test_square_groups_are_anchored_not_chained(signs):
+    # four paths r -> p_i -> q whose weights are 0.6e-9 apart: the groups
+    # are {0, 1} and {2, 3}, anchored at their first path, although the
+    # spacing chains all four together
+    vertices = [("r", 2), ("q", 0)] + [(f"p{i}", 1) for i in range(4)]
+    edges = [("r", f"p{i}", s, -1.0 - (3 - i) * 0.6e-9) for i, s in enumerate(signs)]
+    edges += [(f"p{i}", "q", 1, -1.0) for i in range(4)]
+    graph = InstantonGraph(vertices, edges)
+    want = _square_outcome(oracles.squares_sorted_loop, graph)
+    assert (want is None) == (sum(signs[:2]) == 0 and sum(signs[2:]) == 0)
+    assert _square_outcome(morse._check_squares_combinatorial, graph) == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_square_certificate_ends_at_infinite_weights():
+    # -inf + -inf paths differ from each other by nan, so each is a group
+    # of its own and the first raises (the scan by anchors used to stall)
+    inf = float("inf")
+    graph = InstantonGraph(
+        [("r", 2), ("p", 1), ("p2", 1), ("q", 0)],
+        [("r", "p", 1, -1.0), ("r", "p2", 1, -1.0),
+         ("p", "q", 1, -inf), ("p2", "q", -1, -inf)],
+    )
+    with pytest.raises(NotAComplex, match="at weight -inf"):
+        morse.build_differential(graph, 1.0)

@@ -129,10 +129,11 @@ def test_cutoff_normalization_unresolved_raises(monkeypatch):
 
 
 def test_cutoff_trivial_gaussian():
-    # rho == 1 on a huge interval: the integral is the pure Gaussian one
-    rho = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    val, _ = integrate.quad(lambda x: np.exp(-7.0 * x * x), -np.inf, np.inf)
-    assert val ** 0.5 == pytest.approx((np.pi / 7.0) ** 0.25)
+    # r = 3 > sqrt(40/7): rho == 1 on the whole summed range [0, sqrt(40/7)],
+    # so the sum is the pure Gaussian integral, up to e^{-40}
+    a_mu, dev = model.cutoff_normalization(7.0, 3.0)
+    assert abs(a_mu - (np.pi / 7.0) ** 0.25) <= 1e-14
+    assert abs(dev) <= 1e-14
 
 
 def test_default_cutoff_is_admissible():
