@@ -3,7 +3,8 @@
 Subpackages by topic:
 
 - :mod:`wittenlab.spectral`: graded matrix complexes, Laplacians, heat
-  supertraces, spectral zeta sums, small/large splitting.
+  supertraces restricted to the small or large spectrum, spectral zeta
+  sums.
 - :mod:`wittenlab.model`: the harmonic-oscillator model of a nondegenerate
   zero, its exact spectrum, ground states, cutoff normalization, and a
   finite-difference validation harness.
@@ -32,10 +33,8 @@ Subpackages by topic:
 from .spectral import (
     GradedMatrixComplex,
     GradedLaplacianFamily,
-    SpectralSplit,
     assemble_laplacians,
     eigendecompose,
-    split_small_large,
     heat_supertrace,
     zeta_via_spectrum,
     betti_numbers,

@@ -279,17 +279,24 @@ def cmd_morse_analyze(args):
 # -- prescribe ----------------------------------------------------------------
 
 
-def cmd_prescribe(args):
-    graph = morse.InstantonGraph.load(args.graph, require_negative=False)
-    problem = presc.PrescriptionProblem(graph, args.targets)
-    result = presc.prescribe(problem)
+def _certify(name, problem, result):
+    """Print the four certificate checks of ``result`` under report ``name``;
+    return the certificate and whether all four pass."""
     cert = presc.verify_prescription(problem, result)
     consistent, bad = presc.potential_consistency(problem, result)
-    report = Report("prescribe")
+    report = Report(name)
     report.check("exactness", cert.exactness)
     report.check("cycle-sum exactness", consistent, str(bad) if bad else "")
     report.check("negativity", cert.negativity)
     report.check("per-index costs", cert.costs_ok)
+    return cert, report.passed
+
+
+def cmd_prescribe(args):
+    graph = morse.InstantonGraph.load(args.graph, require_negative=False)
+    problem = presc.PrescriptionProblem(graph, args.targets)
+    result = presc.prescribe(problem)
+    cert, passed = _certify("prescribe", problem, result)
     if args.out:
         result.graph.dump(args.out)
     if args.cert:
@@ -301,9 +308,7 @@ def cmd_prescribe(args):
         payload["potential"] = {str(v): p for v, p in result.potential.items()}
         payload["shift_constant"] = result.c
         write_json(args.cert, payload)
-    if not cert.all_pass or not consistent:
-        return EXIT_FALSIFIED
-    return EXIT_PASS
+    return EXIT_PASS if passed else EXIT_FALSIFIED
 
 
 def cmd_verify(args):
@@ -316,16 +321,8 @@ def cmd_verify(args):
     result = presc.PrescriptionResult(
         problem, float(payload["shift_constant"]), potential, final, ()
     )
-    cert = presc.verify_prescription(problem, result)
-    consistent, bad = presc.potential_consistency(problem, result)
-    report = Report("verify")
-    report.check("exactness", cert.exactness)
-    report.check("cycle-sum exactness", consistent, str(bad) if bad else "")
-    report.check("negativity", cert.negativity)
-    report.check("per-index costs", cert.costs_ok)
-    if not report.passed:
-        return EXIT_FALSIFIED
-    return EXIT_PASS
+    _, passed = _certify("verify", problem, result)
+    return EXIT_PASS if passed else EXIT_FALSIFIED
 
 
 # -- zdist ---------------------------------------------------------------------

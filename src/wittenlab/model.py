@@ -187,12 +187,9 @@ class ModelCheckReport:
     mu: float
     degree: int
     index: int
-    grid_points: int
-    half_width: float
     formula: tuple
     numeric: tuple
     rel_errors: tuple
-    resolution_estimate: float
 
     @property
     def max_rel_error(self):
@@ -248,12 +245,9 @@ def numeric_model_check(spec, mu, degree, grid_points=3000):
         mu=mu,
         degree=degree,
         index=spec.k,
-        grid_points=grid_points,
-        half_width=L,
         formula=tuple(formula),
         numeric=tuple(float(v) for v in numeric),
         rel_errors=rel,
-        resolution_estimate=resolution,
     )
     if resolution > _FD_REL_TOL:
         raise NumericalError(

@@ -2,8 +2,9 @@
 
 A graded complex is a finite sequence of complex matrices d_k mapping degree-k
 coefficient vectors to degree-(k+1) vectors with d_{k+1} d_k = 0.  This module
-assembles the associated Laplacians, decomposes them, splits their spectra at
-the fixed threshold 1, and evaluates heat supertraces and spectral zeta sums.
+assembles the associated Laplacians, decomposes them, and evaluates spectral
+zeta sums and heat supertraces, the latter optionally restricted to the small
+(<= 1) or large (> 1) spectrum.
 
 Each check runs once: d^2 = 0 when a complex is built (it also bounds
 d_k D_k - D_{k+1} d_k), Hermitian symmetry when a family is built, and the
@@ -19,7 +20,6 @@ sharing it between threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,8 @@ from .errors import (
 __all__ = [
     "GradedMatrixComplex",
     "GradedLaplacianFamily",
-    "SpectralSplit",
     "assemble_laplacians",
     "eigendecompose",
-    "split_small_large",
     "heat_supertrace",
     "zeta_via_spectrum",
     "betti_numbers",
@@ -215,22 +213,6 @@ class GradedLaplacianFamily:
         return kernel_threshold(self.max_eigenvalue())
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Indices of eigenvalues <= 1 (small) and > 1 (large), per degree."""
-
-    small: tuple
-    large: tuple
-
-    @property
-    def small_counts(self):
-        return tuple(len(i) for i in self.small)
-
-    @property
-    def large_counts(self):
-        return tuple(len(i) for i in self.large)
-
-
 def assemble_laplacians(complex_: GradedMatrixComplex) -> GradedLaplacianFamily:
     """Build the per-degree Laplacians D_k = d_k^* d_k + d_{k-1} d_{k-1}^*.
 
@@ -318,17 +300,6 @@ def betti_numbers(family: GradedLaplacianFamily, warn_ambiguous=True):
         if warn_ambiguous:
             warn_ambiguous_kernel(w, tol)
     return tuple(counts)
-
-
-def split_small_large(family: GradedLaplacianFamily) -> SpectralSplit:
-    """Partition each degree's spectrum at the fixed threshold 1."""
-    family.require_spectra()
-    small, large = [], []
-    for w in family.eigenvalues:
-        idx = np.arange(w.size)
-        small.append(tuple(idx[w <= 1.0]))
-        large.append(tuple(idx[w > 1.0]))
-    return SpectralSplit(tuple(small), tuple(large))
 
 
 def _subset_mask(w, subset, tol):

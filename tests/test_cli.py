@@ -320,6 +320,22 @@ def test_prescribe_verify_roundtrip(tmp_path):
     ) == 4
 
 
+def test_prescribe_failing_certificate_exits_4(tmp_path, monkeypatch, capsys):
+    # a failed check still prints all four and writes the certificate
+    monkeypatch.setattr(cli.presc, "potential_consistency",
+                        lambda problem, result: (False, [("p", "q2")]))
+    cert = tmp_path / "cert.json"
+    assert run("prescribe", "--graph", str(DATA / "raw.graph"), "--targets", "4",
+               "--cert", str(cert)) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] exactness",
+        "[FAIL] cycle-sum exactness ([('p', 'q2')])",
+        "[PASS] negativity",
+        "[PASS] per-index costs",
+    ]
+    assert json.loads(cert.read_text())["exactness"] is True
+
+
 def test_prescribe_unserializable_result_exits_3(tmp_path, monkeypatch, capsys):
     # raw.graph with index-0 ids whose texts collide, so --out cannot be read back
     graph = morse.InstantonGraph(

@@ -144,11 +144,26 @@ def test_hodge_matches_brute_force(tight2_graph, tensor_graph):
         assert data.kernel_dims == kernels
 
 
-def test_projection_partition(tensor_graph):
+def test_projection_partition(tensor_graph, monkeypatch):
+    # im d_0 and the coimage of d_1 must be orthogonal for the three Hodge
+    # projections to partition degree 1; tilt V towards U, keeping each
+    # basis orthonormal, so that only the cross Gram block is off
+    svd_rank = morse._svd_rank
+    images = []
+
+    def tilted_coimage(mat):
+        r, u, v = svd_rank(mat)
+        if len(images) == 1:
+            v, _ = np.linalg.qr(v + 0.1 * images[0][:, :1])
+            assert np.linalg.norm(images[0].conj().T @ v) > 1e-3
+        images.append(u)
+        return r, u, v
+
     data = morse.hodge_ranks_numeric(tensor_graph, 7.0)
-    for k, (p0, p1, p2) in enumerate(data.projections):
-        n = p0.shape[0]
-        assert np.linalg.norm(p0 + p1 + p2 - np.eye(n), 2) < 1e-10
+    assert data.image_d_dims[1] > 0 and data.image_delta_dims[1] > 0
+    monkeypatch.setattr(morse, "_svd_rank", tilted_coimage)
+    with pytest.raises(StateError, match="not idempotent in degree 1"):
+        morse.hodge_ranks_numeric(tensor_graph, 7.0)
 
 
 def test_betti_constant_in_z(tight2_graph, tensor_graph):

@@ -19,7 +19,6 @@ from wittenlab.spectral import (
     betti_numbers,
     eigendecompose,
     heat_supertrace,
-    split_small_large,
     zeta_via_spectrum,
 )
 
@@ -89,20 +88,32 @@ def test_eigendecompose_random_hermitian_reconstruction():
     assert resid <= 1e-12 * np.linalg.norm(h, 2)
 
 
+def subset_counts(fam, subset):
+    """Per-degree eigenvalue counts of ``subset``: the heat supertrace at a
+    tiny t, with weight 1 on one degree and 0 on the others."""
+    n = len(fam.degrees)
+    counts = []
+    for k in range(n):
+        weight = [float(j == k) for j in range(n)]
+        trace = heat_supertrace(fam, weight, 1e-12, subset)
+        counts.append(round((-1) ** k * trace.real))
+    return tuple(counts)
+
+
 def test_split_small_large_trivial():
+    # the small spectrum is <= 1 and the large one > 1, at t -> 0 a count
     fam = family_from_diag([0.0, 0.3, 7.0])
-    split = split_small_large(fam)
-    assert split.small_counts == (2,)
-    assert split.large_counts == (1,)
+    assert heat_supertrace(fam, None, 1e-12, "small") == pytest.approx(2.0)
+    assert heat_supertrace(fam, None, 1e-12, "large") == pytest.approx(1.0)
     fam2 = family_from_diag([0.1, 0.9, 1.0])
-    assert split_small_large(fam2).large_counts == (0,)
+    assert heat_supertrace(fam2, None, 1e-12, "small") == pytest.approx(3.0)
+    assert heat_supertrace(fam2, None, 1e-12, "large") == 0.0
 
 
 def test_split_counts_match_zero_count_on_circle(tight2):
     cx = wl.assemble_circle_complex(tight2, 20.0)
     fam = eigendecompose(assemble_laplacians(cx))
-    split = split_small_large(fam)
-    assert split.small_counts == tight2.counts
+    assert subset_counts(fam, "small") == tight2.counts
 
 
 def test_split_invariant_under_unitary_change_of_basis(tight2):
@@ -116,8 +127,7 @@ def test_split_invariant_under_unitary_change_of_basis(tight2):
     fam1 = eigendecompose(assemble_laplacians(cx))
     conj = [qs[k + 1] @ d @ qs[k].conj().T for k, d in enumerate(cx.differentials)]
     fam2 = eigendecompose(assemble_laplacians(GradedMatrixComplex(conj, cx.degrees)))
-    s1, s2 = split_small_large(fam1), split_small_large(fam2)
-    assert s1.small_counts == s2.small_counts
+    assert subset_counts(fam1, "small") == subset_counts(fam2, "small")
 
 
 def test_heat_supertrace_zero_complex():
