@@ -10,7 +10,12 @@ Each check runs once: d^2 = 0 when a complex is built (it also bounds
 d_k D_k - D_{k+1} d_k), Hermitian symmetry when a family is built, and the
 residuals of each eigendecomposition.
 
-Everything is dense and exact at desk scale.  A complex never changes after
+Everything is dense and exact at desk scale.  A Laplacian whose exact
+nonzero pattern splits into blocks, as the multidegrees of a tensor complex
+do (the cross-multidegree entries cancel to exact zeros), is decomposed one
+block at a time: the entries between blocks are exact zeros, so this is a
+decomposition of the whole matrix, and its residual checks, summed over the
+blocks, are those of the whole matrix.  A complex never changes after
 construction.  A Laplacian family's matrices never change either, but
 :func:`eigendecompose` (and every function that needs spectra) writes the
 spectra onto the family, unsynchronised: decompose a family once before
@@ -233,14 +238,89 @@ def assemble_laplacians(complex_: GradedMatrixComplex) -> GradedLaplacianFamily:
     return GradedLaplacianFamily(laps)
 
 
-def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:
-    """Dense Hermitian eigendecomposition per degree, cached on the family.
+def _pattern_blocks(m) -> list:
+    """Index arrays of the connected components of the exact nonzero pattern
+    of the square matrix m, symmetrised (i ~ j when m_ij or m_ji is nonzero),
+    in order of their smallest index.  A zero row with a zero column is a
+    singleton.
 
-    Each degree is checked for a negative eigenvalue, for the reconstruction
-    residual ||m - U diag(w) U*||_F against 1e-12 ||m||_2 (with the exact
-    ||m||_2 = max |w|), and for the Gram defect ||U* U - I||_F.  Frobenius
-    residuals are never below their 2-norms, so no check is looser than
-    the 2-norm check with the same tolerance.
+    Entries of m between two components are exact zeros, so m is the direct
+    sum of its diagonal blocks on these index sets.  A first row with no
+    zero entry joins every index to index 0, one block at O(n) cost, as in
+    every dense matrix; otherwise each vertex's row is read once, when a
+    breadth-first sweep reaches it: O(n^2) in all.
+    """
+    n = m.shape[0]
+    if (m[0] != 0).all():
+        return [np.arange(n)]
+    nz = m != 0
+    nz |= nz.T
+    unseen = np.ones(n, dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros(n, dtype=bool)
+        block[np.argmax(unseen)] = True
+        frontier = block.copy()
+        while frontier.any():
+            frontier = nz[frontier].any(axis=0) & ~block
+            block |= frontier
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+def _checked_eigh(m, k):
+    """eigh of the Hermitian matrix m with its reconstruction residual
+    ||m - U diag(w) U*||_F and Gram defect ||U* U - I||_F."""
+    try:
+        w, u = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalError(f"eigensolver failed in degree {k}: {exc}")
+    recon = np.linalg.norm(m - (u * w) @ u.conj().T)
+    gram = np.linalg.norm(u.conj().T @ u - np.eye(m.shape[0]))
+    return w, u, recon, gram
+
+
+def _blockwise_eigh(m, k):
+    """Eigenvalues of m ascending, its eigenframe, reconstruction residual
+    and Gram defect, from one :func:`_checked_eigh` per block of
+    :func:`_pattern_blocks` (of the whole m when it is one block), with
+    the residuals summed in squares over the blocks."""
+    blocks = _pattern_blocks(m)
+    if len(blocks) == 1:
+        return _checked_eigh(m, k)
+    parts = [_checked_eigh(m[np.ix_(b, b)], k) for b in blocks]
+    n = m.shape[0]
+    u = np.zeros((n, n), dtype=complex)
+    col = 0
+    for b, (_, ub, _, _) in zip(blocks, parts):
+        u[b, col:col + b.size] = ub
+        col += b.size
+    w = np.concatenate([p[0] for p in parts])
+    order = np.argsort(w, kind="stable")
+    recon = np.sqrt(sum(p[2] ** 2 for p in parts))
+    gram = np.sqrt(sum(p[3] ** 2 for p in parts))
+    return w[order], u[:, order], recon, gram
+
+
+def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:
+    """Hermitian eigendecomposition per degree, cached on the family.
+
+    Each degree's Laplacian is split into the connected components of its
+    exact nonzero pattern (:func:`_pattern_blocks`; one block when it has no
+    zero entry, as every circle Laplacian) and each block is decomposed
+    alone; the eigenvalues come out ascending, with the n x n frame
+    assembled from the block frames.  On a tensor-product complex the blocks
+    are the multidegrees.
+
+    Each degree is checked for a negative eigenvalue (the global minimum
+    against the global maximum), for the reconstruction residual
+    ||m - U diag(w) U*||_F against 1e-12 ||m||_2 (with the exact
+    ||m||_2 = max |w|), and for the Gram defect ||U* U - I||_F against
+    1e-10 n.  Both residuals are those of the whole degree, summed in
+    squares over its blocks, which is exact since they vanish off the
+    blocks.  Frobenius residuals are never below their 2-norms, so no check
+    is looser than the 2-norm check with the same tolerance.
     """
     values, frames = [], []
     for k, m in enumerate(family.laplacians):
@@ -248,19 +328,14 @@ def eigendecompose(family: GradedLaplacianFamily) -> GradedLaplacianFamily:
             values.append(np.zeros(0))
             frames.append(np.zeros((0, 0), dtype=complex))
             continue
-        try:
-            w, u = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericalError(f"eigensolver failed in degree {k}: {exc}")
+        w, u, recon, gram = _blockwise_eigh(m, k)
         scale = max(abs(w[0]), abs(w[-1]), 1e-300)
         if w[0] < -_TOL_PSD * scale:
             raise NumericalError(
                 f"Laplacian {k} indefinite: min eigenvalue {w[0]:.3e}"
             )
-        recon = np.linalg.norm(m - (u * w) @ u.conj().T)
         if recon > max(_TOL_EIG * scale, 1e3 * np.finfo(float).eps):
             raise NumericalError(f"eigendecomposition residual {recon:.3e}")
-        gram = np.linalg.norm(u.conj().T @ u - np.eye(m.shape[0]))
         if gram > _TOL_UNITARY * m.shape[0]:
             raise NumericalError(f"eigenframe not unitary: {gram:.3e}")
         values.append(np.maximum(w, 0.0))

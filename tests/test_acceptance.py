@@ -11,6 +11,7 @@ term.  The ``*_observed_law`` companions check the same limit against a1
 directly.
 """
 
+import re
 import time
 from pathlib import Path
 
@@ -22,18 +23,28 @@ from wittenlab import weight_prescription as wp
 
 import oracles
 
-REPORT = []
 _REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+_REPORT_LINE = re.compile(r"\[ACCEPT (\d+)\]")
 
 
 def record(criterion, ok, detail, runtime=None):
     """Print the criterion's PASS/FAIL line, with ``runtime`` appended when
     given, and keep the line without it in the tracked report: wall-clock
-    figures change from run to run, the measured quantities do not."""
+    figures change from run to run, the measured quantities do not.
+
+    The report holds one line per criterion, in criterion order; only this
+    criterion's line is replaced, so a partial run (``-k``, one test, an
+    interrupted suite) keeps the lines of the criteria it did not run."""
     line = f"[ACCEPT {criterion}] {'PASS' if ok else 'FAIL'} - {detail}"
-    REPORT.append(line)
     print(line if runtime is None else f"{line}; {runtime}")
-    _REPORT_PATH.write_text("\n".join(REPORT) + "\n")
+    lines = {}
+    if _REPORT_PATH.exists():
+        for old in _REPORT_PATH.read_text().splitlines():
+            match = _REPORT_LINE.match(old)
+            if match:
+                lines[int(match.group(1))] = old
+    lines[criterion] = line
+    _REPORT_PATH.write_text("".join(lines[c] + "\n" for c in sorted(lines)))
     return ok
 
 

@@ -463,21 +463,215 @@ def test_perturbed_eigenframe_fails_reconstruction(monkeypatch):
         eigendecompose(GradedLaplacianFamily([m]))
 
 
-def test_perturbed_kernel_vector_fails_gram_check(monkeypatch):
-    # scaling the kernel eigenvector leaves U diag(w) U* = m exactly, so only
-    # the Gram check sees it
-    m = np.diag([0.0, 1.0, 3.0]).astype(complex)
+def _scale_first_vector(monkeypatch, size):
+    """Patch eigh to scale the first eigenvector of every size x size input
+    by 1 + 1e-8: U diag(w) U* moves by w_0 times 2e-8, nothing for a kernel
+    vector, so only the Gram check sees it."""
     eigh = np.linalg.eigh
 
     def perturbed(x):
         w, u = eigh(x)
-        u = u.copy()
-        u[:, 0] *= 1.0 + 1e-8
+        if x.shape[0] == size:
+            u = u.copy()
+            u[:, 0] *= 1.0 + 1e-8
         return w, u
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+def kernel_block(rng, n):
+    """a a* for a random n x (n - 1) complex a: Hermitian PSD, no zero
+    entry, and a one-dimensional kernel."""
+    a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
+    return a @ a.conj().T
+
+
+def test_perturbed_kernel_vector_fails_gram_check(monkeypatch):
+    m = kernel_block(np.random.default_rng(4), 3)
+    _scale_first_vector(monkeypatch, 3)
     with pytest.raises(NumericalError, match="not unitary"):
         eigendecompose(GradedLaplacianFamily([m]))
+
+
+@pytest.mark.parametrize("kernel_first", [True, False])
+def test_perturbed_kernel_vector_in_one_block_fails_gram_check(kernel_first, monkeypatch):
+    # the 3 x 3 kernel block, first or last in index order, is the only
+    # block whose frame is scaled; the 4 x 4 block has no kernel
+    rng = np.random.default_rng(4)
+    kernel, other = kernel_block(rng, 3), kernel_block(rng, 5)[:4, :4]
+    m = np.zeros((7, 7), dtype=complex)
+    if kernel_first:
+        m[:3, :3], m[3:, 3:] = kernel, other
+    else:
+        m[:4, :4], m[4:, 4:] = other, kernel
+    _scale_first_vector(monkeypatch, 3)
+    with pytest.raises(NumericalError, match="not unitary"):
+        eigendecompose(GradedLaplacianFamily([m]))
+
+
+# -- block-wise eigendecomposition ----------------------------------------------
+
+
+def block_matrix(rng, sizes):
+    """Hermitian PSD direct sum of :func:`kernel_block` blocks (a random
+    positive 1 x 1 block for size 1) under a random permutation, and the
+    index set of each block."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    m = np.zeros((n, n), dtype=complex)
+    groups, start = [], 0
+    for size in sizes:
+        g = perm[start:start + size]
+        m[np.ix_(g, g)] = kernel_block(rng, size) if size > 1 else rng.uniform(1, 2)
+        groups.append(g)
+        start += size
+    return m, groups
+
+
+def as_index_sets(blocks):
+    return sorted(tuple(np.sort(b).tolist()) for b in blocks)
+
+
+def test_pattern_blocks_of_connected_patterns():
+    rng = np.random.default_rng(2)
+    dense = kernel_block(rng, 6)
+    assert as_index_sets(spectral._pattern_blocks(dense)) == [tuple(range(6))]
+    # a full first row joins everything (an arrowhead); a zero in it does
+    # not split a pattern that is otherwise dense
+    arrow = np.diag(np.arange(1.0, 7.0))
+    arrow[0, :] = arrow[:, 0] = 1.0
+    assert as_index_sets(spectral._pattern_blocks(arrow)) == [tuple(range(6))]
+    dense[0, 1] = dense[1, 0] = 0.0
+    assert as_index_sets(spectral._pattern_blocks(dense)) == [tuple(range(6))]
+    # a chain is connected only through 63 steps of the sweep
+    chain = np.diag(np.ones(63), 1) + np.diag(np.ones(63), -1) + 2 * np.eye(64)
+    assert as_index_sets(spectral._pattern_blocks(chain)) == [tuple(range(64))]
+
+
+def test_pattern_blocks_find_permuted_blocks_and_zero_rows():
+    rng = np.random.default_rng(3)
+    m, groups = block_matrix(rng, (3, 5, 1))
+    blocks = spectral._pattern_blocks(m)
+    assert len(blocks) == 3
+    assert as_index_sets(blocks) == as_index_sets(groups)
+    # a zero row and column is a singleton of its own
+    z = np.zeros((6, 6), dtype=complex)
+    z[np.ix_([0, 2, 5], [0, 2, 5])] = kernel_block(rng, 3)
+    assert as_index_sets(spectral._pattern_blocks(z)) == [(0, 2, 5), (1,), (3,), (4,)]
+
+
+def dense_family(mats):
+    """The family of ``mats`` with spectra from one whole-matrix eigh per
+    degree: the reference for the block path."""
+    fam = GradedLaplacianFamily(mats)
+    pairs = [np.linalg.eigh(m) for m in mats]
+    fam.eigenvalues = tuple(np.maximum(w, 0.0) for w, _ in pairs)
+    fam.eigenframes = tuple(u for _, u in pairs)
+    return fam
+
+
+def test_blockwise_eigendecompose_matches_one_dense_eigh():
+    rng = np.random.default_rng(6)
+    sizes = [(3, 5, 1, 7), (4, 4, 2), (6, 1, 1, 3)]
+    mats = [block_matrix(rng, s)[0] for s in sizes]
+    fam = eigendecompose(GradedLaplacianFamily(mats))
+    ref = dense_family(mats)
+    lmax = max(w[-1] for w in ref.eigenvalues)
+    for m, w, u, w_ref in zip(mats, fam.eigenvalues, fam.eigenframes, ref.eigenvalues):
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * lmax
+        assert np.linalg.norm(m - (u * w) @ u.conj().T) <= 1e-12 * lmax
+        assert np.linalg.norm(u.conj().T @ u - np.eye(m.shape[0])) <= 1e-10 * m.shape[0]
+    assert betti_numbers(fam) == betti_numbers(ref) == (3, 3, 2)
+    weights = [None, [np.diag(rng.normal(size=m.shape[0])) for m in mats],
+               weight_cases(rng, [m.shape[0] for m in mats])["dense"]]
+    for weight in weights:
+        for t in (0.05, 0.7):
+            ungraded = sum(np.exp(-t * w).sum() for w in ref.eigenvalues)
+            for subset in ("all", "perp", "small", "large"):
+                got = heat_supertrace(fam, weight, t, subset)
+                want = heat_supertrace(ref, weight, t, subset)
+                assert abs(got - want) <= 1e-12 * ungraded
+        ungraded = zeta_via_spectrum(ref, None, 1.0, graded=False)
+        got = zeta_via_spectrum(fam, weight, 1.0)
+        assert abs(got - zeta_via_spectrum(ref, weight, 1.0)) <= 1e-12 * ungraded.real
+
+
+def test_noise_on_one_block_of_ten_fails_reconstruction(monkeypatch):
+    # the residual is summed over all blocks: noise on any one of them,
+    # first, last or between, raises
+    m, _ = block_matrix(np.random.default_rng(8), (4,) * 10)
+    eigh = np.linalg.eigh
+    for noisy in range(10):
+        calls = []
+
+        def perturbed(x):
+            w, u = eigh(x)
+            calls.append(x.shape[0])
+            if len(calls) - 1 == noisy:
+                u = u + 1e-9 * np.random.default_rng(noisy).normal(size=u.shape)
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalError, match="residual"):
+            eigendecompose(GradedLaplacianFamily([m]))
+        assert len(calls) == 10
+
+
+def ring_factor(m, lows):
+    """Tight one-level instanton graph on a ring of m index-1 and m index-0
+    vertices: one edge per index-1 vertex at cost -0.45 and one strictly
+    below it, at -0.45 - lows[i]."""
+    vertices = [(f"p{i}", 1) for i in range(m)] + [(f"q{i}", 0) for i in range(m)]
+    edges = []
+    for i in range(m):
+        edges.append((f"p{i}", f"q{i}", 1, -0.45))
+        edges.append((f"p{i}", f"q{(i - 1) % m}", -1, -0.45 - lows[i]))
+    return wl.InstantonGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("source", ["tensor_graph", "ring5", "circle"])
+def test_one_eigh_per_block(source, tensor_graph, exact2_small, monkeypatch):
+    # a tensor complex splits by multidegree into blocks of at most
+    # 2^factors (C(5, k) blocks of 32 in degree k of the 5-fold ring
+    # tensor); a circle Laplacian is dense, one block per degree, and its
+    # spectrum is that of one whole-matrix eigh, bit for bit
+    if source == "circle":
+        cx = wl.assemble_circle_complex(exact2_small, 3.0)
+    elif source == "tensor_graph":
+        cx = wl.build_differential(tensor_graph, 3.0)
+    else:
+        rng = np.random.default_rng(1)
+        graph = ring_factor(2, rng.uniform(0.5, 2.0, size=2))
+        for _ in range(4):
+            graph = wl.graph_tensor(graph, ring_factor(2, rng.uniform(0.5, 2.0, size=2)))
+        cx = wl.build_differential(graph, complex(3.0, 0.4))
+    fam = assemble_laplacians(cx)
+    blocks = [spectral._pattern_blocks(m) for m in fam.laplacians]
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.shape[0])
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    eigendecompose(fam)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert len(sizes) == sum(len(b) for b in blocks)
+    assert sorted(sizes) == sorted(len(g) for b in blocks for g in b)
+    if source == "circle":
+        assert [len(b) for b in blocks] == [1, 1]
+        for m, w, u in zip(fam.laplacians, fam.eigenvalues, fam.eigenframes):
+            w_ref, u_ref = np.linalg.eigh(m)
+            assert np.array_equal(w, np.maximum(w_ref, 0.0))
+            assert np.array_equal(u, u_ref)
+    else:
+        factors = 2 if source == "tensor_graph" else 5
+        assert max(sizes) <= 2**factors
+    if source == "ring5":
+        assert [len(b) for b in blocks] == [1, 5, 10, 10, 5, 1]
+        assert set(sizes) == {32}
 
 
 _SPECTRAL_PASS = """
