@@ -6,8 +6,8 @@ Subpackages by topic:
   supertraces restricted to the small or large spectrum, spectral zeta
   sums.
 - :mod:`wittenlab.model`: the harmonic-oscillator model of a nondegenerate
-  zero, its exact spectrum, ground states, cutoff normalization, and a
-  finite-difference validation harness.
+  zero, its exact spectrum, cutoff normalization, and a finite-difference
+  validation harness.
 - :mod:`wittenlab.circle`: circle systems built from one callable eta, zeta
   invariants and their small/large split, their closed-form continuum
   value, the exact-form trace identity,
@@ -42,13 +42,11 @@ from .spectral import (
 from .model import (
     MorseModelSpec,
     model_spectrum,
-    model_ground_state,
     cutoff_normalization,
     numeric_model_check,
 )
 from .circle import (
     CircleWittenSystem,
-    make_standard_profile,
     assemble_circle_complex,
     betti_novikov,
     zeta_invariant,
@@ -58,7 +56,6 @@ from .circle import (
     mathai_quillen_1d,
     phi_map_circle,
     spectral_gap_report,
-    sobolev_constant_probe,
 )
 from .morse import (
     InstantonGraph,

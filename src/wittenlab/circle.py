@@ -45,7 +45,6 @@ __all__ = [
     "CircleWittenSystem",
     "CircleInstantonData",
     "ZetaInvariantResult",
-    "make_standard_profile",
     "assemble_circle_complex",
     "betti_novikov",
     "zeta_invariant",
@@ -54,11 +53,9 @@ __all__ = [
     "instanton_data_circle",
     "mathai_quillen_1d",
     "phi_map_circle",
-    "cutoff_state",
     "phi_psi_matrix",
     "torus_zeta_exact",
     "spectral_gap_report",
-    "sobolev_constant_probe",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -245,21 +242,6 @@ class StandardOneForm:
             mask = (x >= a) & (x <= b)
             out[mask] = sign * shape(x[mask])
         return out
-
-
-def make_standard_profile(zero_spec, r=0.35, N=256):
-    """Morse profile samples with exact quadratic caps at the given zeros.
-
-    ``zero_spec`` is a list of (position, value, index) triples; indices must
-    alternate around the circle and values must be consistent with the
-    alternation (drop when leaving a maximum).  Returns the h samples on the
-    N-point grid; the derivative has exact linear caps of radius r.
-    """
-    system = CircleWittenSystem.from_standard_zeros(zero_spec, r=r, N=N)
-    position, value, _ = min(
-        (float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec
-    )
-    return system.h + (value - system.h_at(position))
 
 
 # --------------------------------------------------------------------------
@@ -863,19 +845,6 @@ def _primitive_from(system, p, h_grid, t):
     return h_grid - system.h_at(p) + system.c * (t - p)
 
 
-def cutoff_state(system, z, p_idx):
-    """Unit-normalized cutoff ground state attached to one zero, as grid
-    samples (omega0, omega1); lives in the degree equal to the zero's index.
-
-    The normalizer is the exact continuum norm of the cut-off Gaussian, so
-    the state frame is orthonormal up to exponentially small overlaps; the
-    cell-integration asymptotics then carry the constant
-    (pi/mu)^{k/2} (mu/pi)^{1/4}.  The cutoff radius is half the cap radius.
-    """
-    z = complex(z)
-    return _cutoff_state(system, z, p_idx, *_cutoff_profile(system, z))
-
-
 def _cutoff_profile(system, z):
     """(cutoff radius, cutoff function, normalizer) shared by the cutoff
     states of every zero at one parameter."""
@@ -891,6 +860,9 @@ def _cutoff_profile(system, z):
 
 
 def _cutoff_state(system, z, p_idx, r_hat, rho, normalizer):
+    """Unit-normalized cutoff ground state of one zero, as grid samples
+    (omega0, omega1) in the degree equal to the zero's index; the normalizer
+    is the exact continuum norm of the cut-off Gaussian."""
     mu, nu = z.real, z.imag
     zp = system.zeros[p_idx]
     x = np.mod(system.theta - zp.position + np.pi, TWO_PI) - np.pi
@@ -988,7 +960,7 @@ def torus_zeta_exact(sys_a, sys_b, z):
     return extra.value, extra
 
 
-# -- sweeps and probes --------------------------------------------------------
+# -- sweeps ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -1036,51 +1008,3 @@ def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
         slope,
         tuple(l / m for l, m in zip(min_large, mu_sweep)),
     )
-
-
-def sobolev_constant_probe(system, m, nu_sweep, trials=16, seed=0):
-    """Largest observed ratio sup-norm / graded Sobolev norm across random
-    forms band-limited to |k| <= N/4, per oscillation value.
-
-    The deformed Sobolev norm sums L^2 norms of repeated applications of the
-    symmetric first-order operator at purely imaginary parameter; the probed
-    ratio should show no growth trend across the sweep.
-    """
-    if m <= 0.5:
-        raise DomainError("need Sobolev order m > 1/2 on the circle")
-    m = int(m)
-    N = system.N
-    rng = np.random.default_rng(seed)
-    band = N // 4
-    out = {}
-    weight = TWO_PI / N
-    for nu in nu_sweep:
-        d = system.differential(complex(0.0, nu))
-        delta = d.conj().T
-        ratios = []
-        for trial in range(trials):
-            comps = []
-            for _c in range(2):
-                spec = np.zeros(N, dtype=complex)
-                idx = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-                keep = np.abs(idx) <= band
-                spec[keep] = rng.normal(size=keep.sum()) + 1j * rng.normal(
-                    size=keep.sum()
-                )
-                comps.append(np.fft.ifft(spec) * N / np.sqrt(N))
-            a0, a1 = comps
-            if trial % 2 == 1:
-                # twist-compensated candidates: these keep the deformed norm
-                # bounded as nu grows and probe the sharp constant
-                phase = np.exp(-1j * nu * system.h)
-                a0, a1 = phase * a0, phase * a1
-            sup = float(np.max(np.sqrt(np.abs(a0) ** 2 + np.abs(a1) ** 2)))
-            total = 0.0
-            b0, b1 = a0.copy(), a1.copy()
-            for k in range(m + 1):
-                total += np.sqrt(weight * (np.sum(np.abs(b0) ** 2)
-                                           + np.sum(np.abs(b1) ** 2)))
-                b0, b1 = delta @ b1, d @ b0
-            ratios.append(sup / total)
-        out[float(nu)] = max(ratios)
-    return out

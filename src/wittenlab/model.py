@@ -7,9 +7,9 @@ The local model near an index-k zero is the harmonic-oscillator family
 with eps_j = -1 for j <= k and +1 for j > k.  Its spectrum on d-forms is the
 set of values  mu * sum_j (1 + 2 u_j + eps_j v_j)  over occupation numbers
 u_j >= 0 and signs v_j = +-1 with exactly d of the v_j equal to +1.  This
-module enumerates that spectrum, evaluates the normalized ground state and
-the cutoff normalization constant, and validates the n = 1 case against a
-finite-difference discretization.
+module enumerates that spectrum, evaluates the cutoff normalization
+constant, and validates the n = 1 case against a finite-difference
+discretization.
 
 The cutoff normalization is a trapezoidal sum: its integrand is C-infinity
 with every derivative vanishing at the ends of its support, where the
@@ -33,8 +33,6 @@ __all__ = [
     "ModelEigenvalue",
     "ModelCheckReport",
     "model_spectrum",
-    "model_dirac_spectrum",
-    "model_ground_state",
     "cutoff_normalization",
     "default_cutoff",
     "numeric_model_check",
@@ -104,40 +102,6 @@ def model_spectrum(spec, degree, mu, max_quanta=DEFAULT_MAX_QUANTA):
             )
     out.sort(key=lambda e: e.value)
     return out
-
-
-def model_dirac_spectrum(spec, degree, mu, max_quanta=DEFAULT_MAX_QUANTA):
-    """Signed square roots of the model spectrum (the symmetric first-order
-    operator has exactly the positive and negative roots, and 0)."""
-    lams = [e.value for e in model_spectrum(spec, degree, mu, max_quanta)]
-    roots = []
-    for lam in lams:
-        r = np.sqrt(lam)
-        if lam == 0.0:
-            roots.append(0.0)
-        else:
-            roots.extend([-r, r])
-    return sorted(roots)
-
-
-def model_ground_state(spec, mu, nu, points):
-    """Coefficient of the ground state on the coordinate k-form at ``points``.
-
-    points: array of shape (m, n).  The value is
-    (mu/pi)^{n/4} e^{-i nu h(x)} e^{-mu |x|^2 / 2} with
-    h(x) = (|x_+|^2 - |x_-|^2)/2; its modulus is nu-independent and the
-    continuum L^2 norm is 1.
-    """
-    if mu <= 0:
-        raise DomainError("mu must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != spec.n:
-        raise DomainError(f"points must have {spec.n} columns")
-    minus = pts[:, : spec.k]
-    plus = pts[:, spec.k :]
-    h = 0.5 * (np.sum(plus**2, axis=1) - np.sum(minus**2, axis=1))
-    r2 = np.sum(pts**2, axis=1)
-    return (mu / np.pi) ** (spec.n / 4.0) * np.exp(-1j * nu * h - 0.5 * mu * r2)
 
 
 def default_cutoff(r):
@@ -215,8 +179,10 @@ def numeric_model_check(spec, mu, degree, grid_points=3000):
 
     n = 1 only.  The interval half-width follows the Gaussian decay bound
     L = max(6/sqrt(mu), 4); second-order central differences.  Resolution is
-    estimated by re-solving on half the grid; an unresolved grid raises
-    NumericalError rather than returning silently degraded values.
+    estimated by re-solving on half the grid, which must hold the compared
+    eigenvalues, so a grid of fewer than 2 * _FD_COUNT points raises
+    DomainError; an unresolved grid raises NumericalError rather than
+    returning silently degraded values.
     """
     if spec.n != 1:
         raise DomainError("finite-difference check is one-dimensional")
@@ -224,6 +190,11 @@ def numeric_model_check(spec, mu, degree, grid_points=3000):
         raise DomainError("degree must be 0 or 1")
     if mu <= 0:
         raise DomainError("mu must be positive")
+    if grid_points < 2 * _FD_COUNT:
+        raise DomainError(
+            f"grid_points must be at least {2 * _FD_COUNT}: the half grid "
+            f"must hold the {_FD_COUNT} compared eigenvalues"
+        )
     L = max(6.0 / np.sqrt(mu), 4.0)
     # [dx interior, dx wedge] is -1 on functions, +1 on one-forms.
     commutator = -1.0 if degree == 0 else 1.0

@@ -171,32 +171,6 @@ def prescribe(problem: PrescriptionProblem) -> PrescriptionResult:
     return PrescriptionResult(problem, c, phi, final, stages)
 
 
-def reversed_problem(problem: PrescriptionProblem) -> PrescriptionProblem:
-    """Flow-reversed problem for descending targets a_1 >= ... >= a_n:
-    indices complement, edges reverse (integrals along reversed paths against
-    the negated form are unchanged), targets reverse into ascending order."""
-    rev_graph = InstantonGraph(
-        [(v, problem.graph.n - problem.graph.index_of[v])
-         for v in problem.graph.vertices],
-        [(q, p, sign, w) for p, q, sign, w in problem.graph._edge_rows()],
-        require_negative=False,
-    )
-    return PrescriptionProblem(rev_graph, tuple(reversed(problem.targets)))
-
-
-def prescribe_descending(problem: PrescriptionProblem):
-    """Handle descending targets by prescribing on the reversed problem.
-
-    Returns the reversed-problem result (its certificate applies verbatim)
-    together with the final weights mapped back onto the original edges,
-    which then realize the descending targets on the original orientation.
-    """
-    rev = reversed_problem(problem)
-    res = prescribe(rev)
-    mapped = problem.graph.reweighted(res.graph._weight)
-    return res, mapped
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     exactness: bool

@@ -45,14 +45,6 @@ def heat_trace_mellin(eigenvalues, signs, s, tmax=200.0):
     return val / gamma(s)
 
 
-def gaussian_norm_quadrature(n, mu):
-    """L^2 norm of (mu/pi)^{n/4} e^{-mu |x|^2/2} by 1d quadrature per axis."""
-    one, _ = integrate.quad(
-        lambda x: np.sqrt(mu / np.pi) * np.exp(-mu * x * x), -np.inf, np.inf
-    )
-    return one ** (n / 2.0)
-
-
 def brute_ranks(matrices, degrees):
     """Kernel / image dimensions of a graded differential via matrix_rank."""
     ranks = []

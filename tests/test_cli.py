@@ -45,6 +45,12 @@ def test_model_check_passes(capsys):
     assert run("model", "check", "--mu", "4") == 0
 
 
+@pytest.mark.parametrize("grid", ["12", "0", "-5"])
+def test_model_check_too_small_grid_exits_3(grid, capsys):
+    assert run("model", "check", "--mu", "4", "--grid", grid) == 3
+    assert "grid_points must be at least 20" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("model", "check")

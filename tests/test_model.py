@@ -5,7 +5,7 @@ from scipy import integrate
 from wittenlab import model
 from wittenlab.errors import DomainError, NumericalError
 
-from oracles import enumerate_model_values, gaussian_norm_quadrature
+from oracles import enumerate_model_values
 
 
 def values(spec, degree, mu, max_quanta=6):
@@ -45,36 +45,6 @@ def test_nonzero_at_least_two_mu():
             vals = values(model.MorseModelSpec(n, k), d, 1.7)
             nonzero = [v for v in vals if v > 0]
             assert min(nonzero) >= 2 * 1.7 - 1e-12
-
-
-def test_dirac_spectrum_square_roots():
-    spec = model.MorseModelSpec(2, 1)
-    lam = values(spec, 1, 2.0, max_quanta=3)
-    roots = model.model_dirac_spectrum(spec, 1, 2.0, max_quanta=3)
-    squares = sorted(r * r for r in roots if r >= 0)
-    assert np.allclose(sorted(lam), squares)
-
-
-def test_ground_state_amplitude_and_phase():
-    spec = model.MorseModelSpec(1, 0)
-    val = model.model_ground_state(spec, np.pi, 0.0, [[0.0]])
-    assert val[0] == pytest.approx(1.0)
-    v0 = model.model_ground_state(spec, 2.0, 0.0, [[0.3]])
-    v5 = model.model_ground_state(spec, 2.0, 5.0, [[0.3]])
-    assert abs(v0[0]) == pytest.approx(abs(v5[0]))
-
-
-def test_ground_state_norm_quadrature():
-    # quadrature oracle for the continuum normalization
-    for n in (1, 2):
-        assert gaussian_norm_quadrature(n, 3.7) == pytest.approx(1.0, abs=1e-8)
-    spec = model.MorseModelSpec(1, 1)
-    val, _ = integrate.quad(
-        lambda x: abs(model.model_ground_state(spec, 4.0, 3.0, [[x]])[0]) ** 2,
-        -np.inf,
-        np.inf,
-    )
-    assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_cutoff_normalization_matches_asymptote():
@@ -171,6 +141,27 @@ def test_supersymmetry_of_discretized_degrees():
     nz0 = [v for v in r0.numeric if v > mu][:6]
     nz1 = [v for v in r1.numeric if v > mu][:6]
     assert np.allclose(nz0, nz1, rtol=1e-5)
+
+
+@pytest.mark.parametrize("grid", [19, 0, -5])
+def test_model_check_rejects_too_small_grid(grid, monkeypatch):
+    # the half grid must hold the 10 compared eigenvalues; the bound is
+    # checked before the eigensolver (and SciPy) is reached
+    def unreachable(*args):
+        raise AssertionError("eigensolver reached")
+
+    monkeypatch.setattr(model, "_fd_spectrum", unreachable)
+    with pytest.raises(DomainError, match="at least 20"):
+        model.numeric_model_check(
+            model.MorseModelSpec(1, 0), 4.0, 0, grid_points=grid
+        )
+
+
+def test_model_check_smallest_grid_reaches_resolution_check():
+    # 20 points leave 10 on the half grid: the eigensolver runs, and the
+    # coarse grid is flagged as unresolved
+    with pytest.raises(NumericalError, match="grid unresolved"):
+        model.numeric_model_check(model.MorseModelSpec(1, 0), 4.0, 0, grid_points=20)
 
 
 def test_insufficient_resolution_flagged():

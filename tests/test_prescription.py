@@ -299,25 +299,6 @@ def test_idempotence_on_output():
         assert e1.weight == pytest.approx(e2.weight, abs=1e-9)
 
 
-def test_descending_targets_via_reversal():
-    g = InstantonGraph(
-        [("u", 2), ("p", 1), ("q", 0)],
-        [("u", "p", 1, 0.3), ("u", "p", -1, -0.2), ("p", "q", 1, 0.1)],
-        require_negative=False,
-    )
-    prob = wp.PrescriptionProblem(g, [5.0, 4.0][::-1])  # ascending for ctor
-    desc = wp.PrescriptionProblem.__new__(wp.PrescriptionProblem)
-    desc.graph, desc.targets = g, (5.0, 4.0)
-    desc.raw_amplitude = prob.raw_amplitude
-    res, mapped = wp.prescribe_descending(desc)
-    assert wp.verify_prescription(res.problem, res).all_pass
-    # mapped weights realize the descending costs on the original orientation:
-    # index-2 vertices of the original graph are index-0 in the reversed one,
-    # so the original index-1 level carries the first descending target
-    cost_p = -max(e.weight for e in mapped.edges if e.p == "p")
-    assert cost_p == pytest.approx(5.0)
-
-
 def test_class_preservation_cycles():
     # graph with a genuine cycle in its undirected support
     g = InstantonGraph(
