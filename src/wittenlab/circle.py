@@ -271,12 +271,7 @@ class CircleWittenSystem:
         dense = np.asarray(eta_fn(dense_theta), dtype=float)
         self._dense = dense
         mean = float(np.mean(dense))
-        if isinstance(eta_fn, StandardOneForm):
-            self.c = eta_fn.circulation
-        elif c is not None:
-            self.c = float(c)
-        else:
-            self.c = mean
+        self.c = mean if c is None else float(c)
         if abs(mean - self.c) > 1e-8 * (1.0 + abs(self.c)):
             raise ConfigError(
                 f"circulation {self.c} inconsistent with sample mean {mean}"
@@ -287,12 +282,8 @@ class CircleWittenSystem:
         nz = k != 0
         anti[nz] = coeffs[nz] / (1j * k[nz])
         self._anti_coeffs = anti
-        if isinstance(eta_fn, StandardOneForm):
-            self.zeros = eta_fn.zeros
-            self.r = eta_fn.r
-        else:
-            self.zeros = tuple(zeros) if zeros else self._locate_zeros()
-            self.r = r
+        self.zeros = tuple(zeros) if zeros else self._locate_zeros()
+        self.r = r
         # the grid is every (m/N)-th point of the dense grid, so one inverse
         # FFT evaluates the primitive's series there
         self._dense_h = m * np.real(np.fft.ifft(anti))
@@ -306,12 +297,13 @@ class CircleWittenSystem:
     def from_arc_weights(cls, positions, indices, weights, r=0.35, N=256):
         """Standard-form system with prescribed descent-path integrals."""
         form = StandardOneForm(positions, indices, weights, r)
-        return cls(form, N=N)
+        return cls(form, N=N, c=form.circulation, zeros=form.zeros, r=form.r)
 
     @classmethod
     def from_standard_zeros(cls, zero_spec, r=0.35, N=256, c=0.0):
         """System from (position, value, index) triples; optional circulation
-        c shifts the one-form, displacing zeros inside the caps."""
+        c shifts the one-form, displacing zeros inside the caps of slope -+1:
+        an index-1 zero p to p + c, an index-0 zero p to p - c."""
         spec = sorted(((float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec))
         positions = [s[0] for s in spec]
         values = [s[1] for s in spec]
@@ -319,13 +311,15 @@ class CircleWittenSystem:
         weights = [v1 - v0 for v0, v1 in zip(values, values[1:] + values[:1])]
         form = StandardOneForm(positions, indices, weights, r)
         if c == 0.0:
-            return cls(form, N=N)
+            return cls(form, N=N, c=form.circulation, zeros=form.zeros, r=form.r)
         if abs(c) >= 0.5 * r:
             raise GeometryError(
                 f"|c| = {abs(c)} must be below half the cap radius {r}"
             )
-        shifted = lambda theta: form(theta) + c
-        return cls(shifted, N=N, r=r)
+        moved = [CircleZero((z.position + (c if z.index else -c)) % TWO_PI, z.index)
+                 for z in form.zeros]
+        zeros = sorted(moved, key=lambda z: z.position)
+        return cls(lambda theta: form(theta) + c, N=N, c=c, zeros=zeros, r=form.r)
 
     @classmethod
     def from_profile(cls, h_samples, c=0.0, r=None):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,13 +40,24 @@ _INPUT_ERRORS = (
 )
 
 
+def _finite(text):
+    """argparse type: a finite float (no nan or inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _number_list(convert):
     """argparse type: a non-empty comma-separated list of ``convert`` values."""
 
     def parse(text):
         try:
             values = [convert(x) for x in text.split(",") if x]
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             values = []
         if not values:
             raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
@@ -361,15 +373,15 @@ def build_parser():
     ms.add_argument("--n", type=int, required=True)
     ms.add_argument("--index", type=int, required=True)
     ms.add_argument("--degree", type=int, required=True)
-    ms.add_argument("--mu", type=float, required=True)
+    ms.add_argument("--mu", type=_finite, required=True)
     ms.add_argument("--max-quanta", type=int, default=6)
     ms.add_argument("--count", type=int, default=12)
     ms.add_argument("--out")
     ms.set_defaults(func=cmd_model_spectrum)
     mc = msub.add_parser("check")
-    mc.add_argument("--mu", type=float, required=True)
+    mc.add_argument("--mu", type=_finite, required=True)
     mc.add_argument("--grid", type=int, default=3000)
-    mc.add_argument("--tol", type=float, default=1e-4)
+    mc.add_argument("--tol", type=_finite, default=1e-4)
     mc.add_argument("--out")
     mc.set_defaults(func=cmd_model_check)
 
@@ -377,28 +389,28 @@ def build_parser():
     csub = pc.add_subparsers(dest="subcommand", required=True)
     cg = csub.add_parser("gap")
     cg.add_argument("--config", required=True)
-    cg.add_argument("--mu", type=_number_list(float), required=True)
-    cg.add_argument("--nu", type=float, default=0.0)
+    cg.add_argument("--mu", type=_number_list(_finite), required=True)
+    cg.add_argument("--nu", type=_finite, default=0.0)
     cg.add_argument("--out")
     cg.set_defaults(func=cmd_circle_gap)
     cz = csub.add_parser("zeta")
     cz.add_argument("--config", required=True)
-    cz.add_argument("--mu", type=_number_list(float), required=True)
-    cz.add_argument("--nu", type=float, default=0.0)
+    cz.add_argument("--mu", type=_number_list(_finite), required=True)
+    cz.add_argument("--nu", type=_finite, default=0.0)
     cz.add_argument("--out")
     cz.set_defaults(func=cmd_circle_zeta)
     ci = csub.add_parser("identity")
     ci.add_argument("--config", required=True)
     ci.add_argument("--N", type=_number_list(int), required=True)
-    ci.add_argument("--mu", type=float, default=10.0)
-    ci.add_argument("--nu", type=float, default=0.0)
-    ci.add_argument("--t", type=float, default=0.1)
+    ci.add_argument("--mu", type=_finite, default=10.0)
+    ci.add_argument("--nu", type=_finite, default=0.0)
+    ci.add_argument("--t", type=_finite, default=0.1)
     ci.add_argument("--out")
     ci.set_defaults(func=cmd_circle_identity)
     cp = csub.add_parser("phi")
     cp.add_argument("--config", required=True)
-    cp.add_argument("--mu", type=_number_list(float), required=True)
-    cp.add_argument("--nu", type=float, default=0.0)
+    cp.add_argument("--mu", type=_number_list(_finite), required=True)
+    cp.add_argument("--nu", type=_finite, default=0.0)
     cp.add_argument("--out")
     cp.set_defaults(func=cmd_circle_phi)
 
@@ -406,21 +418,21 @@ def build_parser():
     mosub = pmo.add_subparsers(dest="subcommand", required=True)
     ma = mosub.add_parser("analyze")
     ma.add_argument("--graph", required=True)
-    ma.add_argument("--mu", type=float, required=True)
-    ma.add_argument("--nu", type=float, default=0.0)
+    ma.add_argument("--mu", type=_finite, required=True)
+    ma.add_argument("--nu", type=_finite, default=0.0)
     ma.add_argument("--out")
     ma.set_defaults(func=cmd_morse_analyze)
 
     pp = sub.add_parser("prescribe", help="reweight to per-index targets")
     pp.add_argument("--graph", required=True)
-    pp.add_argument("--targets", type=_number_list(float), required=True)
+    pp.add_argument("--targets", type=_number_list(_finite), required=True)
     pp.add_argument("--out")
     pp.add_argument("--cert")
     pp.set_defaults(func=cmd_prescribe)
 
     pv = sub.add_parser("verify", help="verify a claimed reweighting")
     pv.add_argument("--graph", required=True)
-    pv.add_argument("--targets", type=_number_list(float), required=True)
+    pv.add_argument("--targets", type=_number_list(_finite), required=True)
     pv.add_argument("--result", required=True)
     pv.add_argument("--cert", required=True)
     pv.set_defaults(func=cmd_verify)
@@ -429,8 +441,8 @@ def build_parser():
     zsub = pz.add_subparsers(dest="subcommand", required=True)
     zp = zsub.add_parser("pair")
     zp.add_argument("--config", required=True)
-    zp.add_argument("--mu", type=float, required=True)
-    zp.add_argument("--sigma", type=float, required=True)
+    zp.add_argument("--mu", type=_finite, required=True)
+    zp.add_argument("--sigma", type=_finite, required=True)
     zp.add_argument("--out")
     zp.set_defaults(func=cmd_zdist_pair)
 

@@ -57,30 +57,6 @@ __all__ = [
 
 _WEIGHT_EQ_TOL = 1e-9
 _PROJ_TOL = 1e-10
-# what int(), float(), a dict lookup or unpacking raise on a bad entry
-_CONVERSION_ERRORS = (ArithmeticError, TypeError, ValueError)
-
-
-def _convert(stage, fn, *columns):
-    """``fn`` over the columns, entry by entry: (values, None), or the values
-    before the first entry that raises and (its position, ``stage``, the
-    exception)."""
-    try:
-        return list(map(fn, *columns)), None
-    except _CONVERSION_ERRORS:
-        pass  # find the entry again, outside this handler, so no context is chained
-    values = []
-    for args in zip(*columns):
-        try:
-            values.append(fn(*args))
-        except _CONVERSION_ERRORS as exc:
-            return values, (len(values), stage, exc)
-    return values, None
-
-
-def _edge_row(row):
-    p, q, sign, weight = row
-    return p, q, sign, weight
 
 
 @dataclass(frozen=True)
@@ -98,8 +74,9 @@ class InstantonGraph:
     to the reweighting algorithm may carry weights of any sign, which is
     allowed by ``require_negative=False``.
 
-    The constructor and :meth:`loads` hand the edges as columns to one
-    validator.  It raises what checking the edges one at a time would: the
+    The constructor and :meth:`loads` convert and check the edges as
+    columns, which only decide whether some edge is faulty.  If one is, a
+    loop over the edges raises what checking them one at a time would: the
     first faulty edge, and on it the first failing check in the order
     unknown vertex, index drop, sign, weight.
     """
@@ -109,16 +86,12 @@ class InstantonGraph:
         rows = list(edges)
         try:
             src, dst, signs, weights = zip(*rows, strict=True) if rows else [()] * 4
-            failed = []
-        except (TypeError, ValueError):
-            # a row that does not unpack into four ends the columns there
-            rows, fault = _convert(0, _edge_row, rows)
-            src, dst, signs, weights = zip(*rows) if rows else [()] * 4
-            failed = [fault]
-        signs, sign_fault = _convert(5, int, signs)
-        weights, weight_fault = _convert(7, float, weights)
-        self._set_edges(src, dst, signs, weights, require_negative,
-                        failed + [sign_fault, weight_fault])
+            signs, weights = list(map(int, signs)), list(map(float, weights))
+        except (ArithmeticError, TypeError, ValueError):
+            signs = None  # named below, outside this handler, so no context is chained
+        if signs is None:
+            self._raise_first_fault(rows, require_negative)
+        self._set_edges(src, dst, signs, weights, require_negative)
 
     def _set_vertices(self, vertices):
         self.index_of = {}
@@ -137,46 +110,47 @@ class InstantonGraph:
         )
         self._index = np.array(list(self.index_of.values()), dtype=np.intp)
 
-    def _set_edges(self, src, dst, signs, weights, require_negative, failed=()):
-        """Check the edge columns and store them with the out-edge index.
-
-        ``signs`` and ``weights`` are converted; ``failed`` holds the
-        (edge, stage, error) of conversions that stopped at that edge, each
-        column then ending there.  The first fault in (edge, stage) order is
-        raised.  The stages of one edge: 0 unpacking its row, 1 and 2
-        looking up its ends, 3 unknown vertex, 4 index drop, 5 sign
-        conversion, 6 sign in {-1, +1}, 7 weight conversion and 8, when
-        asked, negativity.
-        """
+    def _set_edges(self, src, dst, signs, weights, require_negative):
+        """Check the edge columns, with ``signs`` and ``weights`` converted,
+        and store them with the out-edge index."""
         nv = len(self.vertices)
         position = {v: i for i, v in enumerate(self.vertices)}
-        i, fault_p = _convert(1, position.get, src, itertools.repeat(nv))
-        j, fault_q = _convert(2, position.get, dst, itertools.repeat(nv))
-        n = min(len(i), len(j))
-        i, j = np.array(i[:n], np.intp), np.array(j[:n], np.intp)
-        sign, weight = np.array(signs), np.array(weights, float)  # object if too large
-        index = np.append(self._index, 0)  # unknown ends read the spare entry
-        ends = lambda e: f"edge ({src[e]!r}, {dst[e]!r})"
-        checks = [
-            (3, (i == nv) | (j == nv), lambda e: f"{ends(e)} references unknown vertex"),
-            (4, index[i] != index[j] + 1,
-             lambda e: f"{ends(e)} must drop the index by exactly 1"),
-            (6, (sign != 1) & (sign != -1), lambda e: "edge sign must be +1 or -1"),
-        ]
-        if require_negative:
-            checks.append((8, ~(weight < 0),
-                           lambda e: f"{ends(e)} has nonnegative weight {weights[e]}"))
-        faults = [f for f in (*failed, fault_p, fault_q) if f]
-        for stage, mask, message in checks:
-            if mask.any():
-                e = int(np.argmax(mask))
-                faults.append((e, stage, StructureError(message(e))))
-        if faults:
-            raise min(faults, key=lambda f: f[:2])[2]
+        unknown = itertools.repeat(nv)
+        try:
+            i = np.array(list(map(position.get, src, unknown)), np.intp)
+            j = np.array(list(map(position.get, dst, unknown)), np.intp)
+        except TypeError:  # an end that cannot be looked up
+            i = None
+        if i is not None:
+            sign, weight = np.array(signs), np.array(weights, float)  # object if too large
+            index = np.append(self._index, 0)  # unknown ends read the spare entry
+            bad = ((i == nv) | (j == nv) | (index[i] != index[j] + 1)
+                   | ((sign != 1) & (sign != -1)))
+            if require_negative:
+                bad |= ~(weight < 0)
+        if i is None or bad.any():
+            self._raise_first_fault(zip(src, dst, signs, weights), require_negative)
         self._src, self._dst = i, j
         self._sign, self._weight = sign.astype(np.int64), weight
         self._out_edges = np.argsort(i, kind="stable")
         self._out_start = np.searchsorted(np.sort(i), np.arange(nv + 1))
+
+    def _raise_first_fault(self, rows, require_negative):
+        """Check the edge rows (p, q, sign, weight) one at a time and raise
+        the first fault."""
+        for p, q, sign, weight in rows:
+            ip, iq = self.index_of.get(p), self.index_of.get(q)
+            if ip is None or iq is None:
+                raise StructureError(f"edge ({p!r}, {q!r}) references unknown vertex")
+            if ip != iq + 1:
+                raise StructureError(
+                    f"edge ({p!r}, {q!r}) must drop the index by exactly 1")
+            if int(sign) not in (-1, 1):
+                raise StructureError("edge sign must be +1 or -1")
+            weight = float(weight)
+            if require_negative and not weight < 0:
+                raise StructureError(
+                    f"edge ({p!r}, {q!r}) has nonnegative weight {weight}")
 
     @functools.cached_property
     def edges(self):
@@ -255,38 +229,22 @@ class InstantonGraph:
     @classmethod
     def loads(cls, text, require_negative=True):
         """Read :meth:`dumps` text; ``#`` lines and blank lines are skipped.
-
-        Each column is converted once.  A number that does not convert
-        raises first, in line order, then a malformed line, then the
-        checks of the vertices and of the edges."""
-        vertices, edges, bad_line = [], [], None
+        The numbers of a line are converted as the line is read."""
+        vertices, src, dst, signs, weights = [], [], [], [], []
         lines = text.splitlines()
         for lineno, parts in enumerate(map(str.split, lines), 1):
             if len(parts) == 5 and parts[0] == "e":
-                edges.append(parts)
+                src.append(parts[1])
+                dst.append(parts[2])
+                signs.append(int(parts[3]))
+                weights.append(float(parts[4]))
             elif len(parts) == 3 and parts[0] == "v":
-                vertices.append((parts[1], parts[2], len(edges)))
+                vertices.append((parts[1], int(parts[2])))
             elif parts and not parts[0].startswith("#"):
-                bad_line = DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
-                break
+                raise DomainError(f"bad graph line {lineno}: {lines[lineno - 1]!r}")
         del lines
-        _, src, dst, signs, weights = zip(*edges) if edges else [()] * 5
-        del edges  # the token lists; the columns hold what is left
-        signs, sign_fault = _convert(5, int, signs)
-        weights, weight_fault = _convert(7, float, weights)
-        ids, indices, before = zip(*vertices) if vertices else [()] * 3
-        indices, index_fault = _convert(-1, int, indices)
-        faults = [f for f in (sign_fault, weight_fault) if f]
-        if index_fault:
-            # a vertex line is read before the edge lines that follow it
-            c, stage, exc = index_fault
-            faults.append((before[c], stage, exc))
-        if faults:
-            raise min(faults, key=lambda f: f[:2])[2]
-        if bad_line:
-            raise bad_line
         graph = cls.__new__(cls)
-        graph._set_vertices(zip(ids, indices))
+        graph._set_vertices(vertices)
         graph._set_edges(src, dst, signs, weights, require_negative)
         return graph
 

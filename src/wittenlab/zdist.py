@@ -92,8 +92,8 @@ class GaussianTestFunction:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
 
     @property
     def at_zero(self):

@@ -65,6 +65,23 @@ def test_geometry_errors():
         )  # values inconsistent with alternation
 
 
+@pytest.mark.parametrize("c", [0.1, -0.1])
+def test_shifted_standard_zeros_in_closed_form(c):
+    # caps of slope -1 at the index-1 zero and +1 at the index-0 zero: eta + c
+    # vanishes at p + c and p - c, listed by position in [0, 2 pi)
+    system = wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=128, c=c
+    )
+    assert system.c == c
+    moved = {1: c % (2 * np.pi), 0: np.pi - c}
+    want = sorted((moved[k], k) for k in (0, 1))
+    assert [(z.position, z.index) for z in system.zeros] == want
+    located = system._locate_zeros()
+    assert [z.index for z in located] == [k for _, k in want]
+    assert np.allclose([z.position for z in located], [p for p, _ in want],
+                       rtol=0.0, atol=1e-12)
+
+
 def test_grid_size_validation():
     with pytest.raises(ConfigError):
         wl.CircleWittenSystem.from_arc_weights(
@@ -330,6 +347,20 @@ def test_zeta_matches_continuum(name, mu, bound, request):
     cont = circle.continuum_zeta(system, complex(mu, 0.0))
     value = wl.zeta_invariant(system, complex(mu, 0.0)).value
     assert abs(value - cont) <= bound * abs(cont)
+
+
+@pytest.mark.parametrize("z", [complex(10.0, 3.0), complex(20.0, 3.0)])
+def test_zeta_without_kernel_is_the_circulation_channel(tight2, z):
+    # with no kernel the value is c (-pi coth(pi z c) - tr d_z^-1 - the
+    # rotation reference sum), imaginary part included; the trace here comes
+    # from an explicit inverse, not from the singular triples
+    res = wl.zeta_invariant(tight2, z)
+    assert res.kernel_term == 0
+    c = tight2.c
+    trace = np.trace(np.linalg.inv(tight2.differential(z)))
+    want = c * (-np.pi / np.tanh(np.pi * z * c) - trace
+                - circle.rotation_reference_sum(tight2.N, z, c))
+    assert abs(res.value - want) <= 1e-10 * abs(want)
 
 
 def test_continuum_zeta_closed_forms(exact2, tight2):

@@ -75,6 +75,23 @@ def test_malformed_list_argument_exits_2(argv, capsys):
     assert "list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zdist", "pair", "--config", "tight.json", "--mu", "30", "--sigma", "inf"),
+        ("model", "spectrum", "--n", "2", "--index", "1", "--degree", "1", "--mu", "nan"),
+        ("circle", "zeta", "--config", "two_zero_exact.json", "--mu", "nan"),
+        ("prescribe", "--graph", "raw.graph", "--targets", "nan"),
+    ],
+)
+def test_non_finite_number_exits_2(argv, capsys):
+    argv = [str(DATA / a) if a.endswith((".json", ".graph")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert repr(argv[-1]) in capsys.readouterr().err
+
+
 def test_circle_zeta(tmp_path, capsys):
     out = tmp_path / "zeta.csv"
     code = run(
@@ -128,6 +145,7 @@ def test_circle_gap(capsys):
 
 
 _SCIPY_CHECK = """
+import itertools
 import sys
 from wittenlab import cli
 
@@ -135,27 +153,33 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
-argv = sys.argv[1:]
-cut = argv.index("--")
-assert cli.main(argv[:cut]) == 0
-assert cli.main(argv[cut + 1:]) == 0
-assert not scipy_modules(), scipy_modules()
+split = itertools.groupby(sys.argv[1:], lambda arg: arg == "--")
+for command in [list(args) for cut, args in split if not cut]:
+    assert cli.main(command) == 0, command
+    assert not scipy_modules(), (command, scipy_modules())
 """
 
 
-def test_import_and_readme_commands_load_no_scipy():
+def test_import_and_readme_commands_load_no_scipy(tmp_path):
     # only the finite-difference model check and zero location on sampled
-    # profiles load SciPy; the import and these README commands do not
+    # profiles load SciPy; the import, these README commands and a shifted
+    # standard form (whose zeros are known in closed form) do not
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps({
+        "type": "standard_zeros", "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]],
+        "r": 0.35, "c": 0.1, "N": 128}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_CHECK,
          "circle", "zeta", "--config", str(DATA / "two_zero_exact.json"), "--mu", "30",
-         "--", "morse", "analyze", "--graph", str(DATA / "s1.graph"), "--mu", "20"],
+         "--", "morse", "analyze", "--graph", str(DATA / "s1.graph"), "--mu", "20",
+         "--", "circle", "zeta", "--config", str(shifted), "--mu", "5"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "zeta1=" in proc.stdout and "z_sm       = 0.45" in proc.stdout
+    assert "mu=5: zeta1=" in proc.stdout
 
 
 @pytest.mark.parametrize("threads", ["1", None])

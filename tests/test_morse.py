@@ -14,6 +14,7 @@ from wittenlab.errors import (
 from wittenlab.morse import InstantonGraph
 
 from oracles import brute_ranks, edge_matrix_loop, projection_law_pinv
+from test_graph_arrays import BAD_EDGES, BAD_LINES, EDGES, TEXT, VERTICES
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DATA = Path(__file__).parent / "data"
@@ -93,6 +94,27 @@ def test_graph_file_roundtrip(tmp_path, tensor_graph):
     assert [
         (str(e.p), str(e.q), e.sign, e.weight) for e in g2.edges
     ] == [(str(e.p), str(e.q), e.sign, e.weight) for e in tensor_graph.edges]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # inspected, never swallowed
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("require_negative", [True, False])
+def test_graph_faults_carry_no_chained_context(require_negative):
+    # a fault of the constructor or of loads is raised on its own, not while
+    # another exception (a failed column conversion) is being handled
+    faults = [_raised(InstantonGraph, VERTICES, EDGES[:2] + [bad] + EDGES[2:],
+                      require_negative) for bad in BAD_EDGES]
+    faults += [_raised(InstantonGraph.loads, "\n".join(TEXT[:3] + [bad] + TEXT[3:]),
+                       require_negative) for bad in BAD_LINES]
+    faults = [exc for exc in faults if exc is not None]
+    assert {type(exc) for exc in faults} >= {StructureError, ValueError, TypeError}
+    assert [exc for exc in faults if exc.__context__ is not None] == []
 
 
 # -- rank machinery ---------------------------------------------------------------
