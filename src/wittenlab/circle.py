@@ -163,7 +163,8 @@ class _ArcShape:
             )
         xs = np.linspace(a + r, b - r, 2001)
         vals = self(xs)
-        if vals.min() <= 1e-3 * min(r, vals.max()):
+        self.floor = float(vals.min())  # least magnitude between the caps
+        if self.floor <= 1e-3 * min(r, vals.max()):
             raise GeometryError(
                 "arc profile degenerates between the caps; increase the "
                 "arc integral or decrease the cap radius"
@@ -303,7 +304,9 @@ class CircleWittenSystem:
     def from_standard_zeros(cls, zero_spec, r=0.35, N=256, c=0.0):
         """System from (position, value, index) triples; optional circulation
         c shifts the one-form, displacing zeros inside the caps of slope -+1:
-        an index-1 zero p to p + c, an index-0 zero p to p - c."""
+        an index-1 zero p to p + c, an index-0 zero p to p - c.  An arc
+        shallower than |c| between its caps gains two more zeros, which are
+        located numerically."""
         spec = sorted(((float(p) % TWO_PI, float(v), int(k)) for p, v, k in zero_spec))
         positions = [s[0] for s in spec]
         values = [s[1] for s in spec]
@@ -316,9 +319,13 @@ class CircleWittenSystem:
             raise GeometryError(
                 f"|c| = {abs(c)} must be below half the cap radius {r}"
             )
-        moved = [CircleZero((z.position + (c if z.index else -c)) % TWO_PI, z.index)
-                 for z in form.zeros]
-        zeros = sorted(moved, key=lambda z: z.position)
+        # the shift adds no zero between the caps only if every arc's
+        # magnitude there stays above |c|; otherwise locate them all
+        zeros = None
+        if abs(c) < min(shape.floor for *_, shape in form.arcs):
+            moved = (CircleZero((z.position + (c if z.index else -c)) % TWO_PI, z.index)
+                     for z in form.zeros)
+            zeros = sorted(moved, key=lambda z: z.position)
         return cls(lambda theta: form(theta) + c, N=N, c=c, zeros=zeros, r=form.r)
 
     @classmethod

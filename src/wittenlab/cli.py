@@ -42,10 +42,7 @@ _INPUT_ERRORS = (
 
 def _finite(text):
     """argparse type: a finite float (no nan or inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value

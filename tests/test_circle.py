@@ -65,23 +65,6 @@ def test_geometry_errors():
         )  # values inconsistent with alternation
 
 
-@pytest.mark.parametrize("c", [0.1, -0.1])
-def test_shifted_standard_zeros_in_closed_form(c):
-    # caps of slope -1 at the index-1 zero and +1 at the index-0 zero: eta + c
-    # vanishes at p + c and p - c, listed by position in [0, 2 pi)
-    system = wl.CircleWittenSystem.from_standard_zeros(
-        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.35, N=128, c=c
-    )
-    assert system.c == c
-    moved = {1: c % (2 * np.pi), 0: np.pi - c}
-    want = sorted((moved[k], k) for k in (0, 1))
-    assert [(z.position, z.index) for z in system.zeros] == want
-    located = system._locate_zeros()
-    assert [z.index for z in located] == [k for _, k in want]
-    assert np.allclose([z.position for z in located], [p for p, _ in want],
-                       rtol=0.0, atol=1e-12)
-
-
 def test_grid_size_validation():
     with pytest.raises(ConfigError):
         wl.CircleWittenSystem.from_arc_weights(
@@ -156,13 +139,35 @@ def test_zero_location_from_profile(trig256):
 
 
 def test_shifted_standard_zeros_displace_inside_caps():
+    # caps of slope -1 at the index-1 zero and +1 at the index-0 zero: eta + c
+    # vanishes at p + c and p - c, listed by position in [0, 2 pi)
+    for c in (0.1, -0.1):
+        sys = wl.CircleWittenSystem.from_standard_zeros(
+            [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.4, N=256, c=c
+        )
+        assert sys.c == c
+        moved = {1: c % (2 * np.pi), 0: np.pi - c}
+        want = sorted((moved[k], k) for k in (0, 1))
+        assert [(z.position, z.index) for z in sys.zeros] == want
+        located = sys._locate_zeros()
+        assert [z.index for z in located] == [k for _, k in want]
+        assert np.allclose([z.position for z in located], [p for p, _ in want],
+                           rtol=0.0, atol=1e-12)
+
+
+def test_shifted_shallow_arc_gains_two_zeros():
+    # weights +-0.4 leave the descending arc below 0.1 between its caps, so
+    # eta + 0.1 changes sign twice more there; those zeros are located
     sys = wl.CircleWittenSystem.from_standard_zeros(
-        [(0.0, 1.0, 1), (np.pi, -1.0, 0)], r=0.4, N=256, c=0.1
+        [(0.0, 0.2, 1), (np.pi, -0.2, 0)], r=0.35, N=256, c=0.1
     )
-    assert len(sys.zeros) == 2
-    # shifted zero of the descending cap: eta = -x + c vanishes at x = c
-    p = [z for z in sys.zeros if z.index == 1][0]
-    assert p.position == pytest.approx(0.1, abs=1e-9)
+    assert sys.c == 0.1
+    assert [z.index for z in sys.zeros] == [1, 0, 1, 0]
+    positions = [z.position for z in sys.zeros]
+    assert positions[0] == pytest.approx(0.1, abs=1e-12)
+    assert 0.35 < positions[1] < positions[2] < np.pi - 0.35
+    assert positions[3] == pytest.approx(np.pi - 0.1, abs=1e-12)
+    assert np.allclose(sys._eta_fn(np.array(positions)), 0.0, atol=1e-12)
 
 
 # -- complex assembly and spectra ---------------------------------------------
