@@ -7,6 +7,8 @@ error, 3 infeasible input, 4 falsified mathematical certificate.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -63,43 +65,55 @@ def _number_list(convert):
     return parse
 
 
-def load_system(path, n_override=None):
-    """Build a circle system from a JSON descriptor file."""
+@contextlib.contextmanager
+def _read_json(path):
+    """The parsed JSON of ``path``; a TypeError or AttributeError raised while
+    reading it means the file has the wrong shape, and becomes a ConfigError."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    kind = cfg.get("type", "standard_zeros")
-    N = int(n_override if n_override is not None else cfg.get("N", 256))
-    r = float(cfg.get("r", 0.35))
-    if kind == "standard_zeros":
-        zeros = [(float(p), float(v), int(k)) for p, v, k in cfg["zeros"]]
-        return circle.CircleWittenSystem.from_standard_zeros(
-            zeros, r=r, N=N, c=float(cfg.get("c", 0.0))
-        )
-    if kind == "arc_weights":
-        return circle.CircleWittenSystem.from_arc_weights(
-            [float(p) for p in cfg["positions"]],
-            [int(k) for k in cfg["indices"]],
-            [float(w) for w in cfg["weights"]],
-            r=r,
-            N=N,
-        )
-    if kind == "trig_profile":
-        cos = [float(a) for a in cfg.get("cos", [])]
-        sin = [float(b) for b in cfg.get("sin", [])]
+        data = json.load(fh)
+    try:
+        yield data
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: unexpected JSON shape ({exc})") from None
 
-        def dh(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for k, a in enumerate(cos, start=1):
-                out += -a * k * np.sin(k * t)
-            for k, b in enumerate(sin, start=1):
-                out += b * k * np.cos(k * t)
-            return out
 
-        return circle.CircleWittenSystem.from_callable_profile(
-            dh, c=float(cfg.get("c", 0.0)), N=N
-        )
-    raise ConfigError(f"unknown system type {kind!r}")
+def load_system(path, n_override=None):
+    """Build a circle system from a JSON descriptor file.  Every value is
+    read first, so that no error of the construction is taken for a shape
+    fault of the file."""
+    cws = circle.CircleWittenSystem
+    with _read_json(path) as cfg:
+        kind = cfg.get("type", "standard_zeros")
+        N = int(n_override if n_override is not None else cfg.get("N", 256))
+        r = float(cfg.get("r", 0.35))
+        if kind == "standard_zeros":
+            zeros = [(float(p), float(v), int(k)) for p, v, k in cfg["zeros"]]
+            build = functools.partial(cws.from_standard_zeros, zeros, r=r, N=N,
+                                      c=float(cfg.get("c", 0.0)))
+        elif kind == "arc_weights":
+            build = functools.partial(
+                cws.from_arc_weights, [float(p) for p in cfg["positions"]],
+                [int(k) for k in cfg["indices"]],
+                [float(w) for w in cfg["weights"]], r=r, N=N,
+            )
+        elif kind == "trig_profile":
+            cos = [float(a) for a in cfg.get("cos", [])]
+            sin = [float(b) for b in cfg.get("sin", [])]
+
+            def dh(t):
+                t = np.asarray(t, dtype=float)
+                out = np.zeros_like(t)
+                for k, a in enumerate(cos, start=1):
+                    out += -a * k * np.sin(k * t)
+                for k, b in enumerate(sin, start=1):
+                    out += b * k * np.cos(k * t)
+                return out
+
+            build = functools.partial(cws.from_callable_profile, dh,
+                                      c=float(cfg.get("c", 0.0)), N=N)
+        else:
+            raise ConfigError(f"unknown system type {kind!r}")
+    return build()
 
 
 def _emit(report, rows, header, out):
@@ -324,12 +338,10 @@ def cmd_verify(args):
     graph = morse.InstantonGraph.load(args.graph, require_negative=False)
     problem = presc.PrescriptionProblem(graph, args.targets)
     final = morse.InstantonGraph.load(args.result)
-    with open(args.cert) as fh:
-        payload = json.load(fh)
-    potential = {v: float(p) for v, p in payload["potential"].items()}
-    result = presc.PrescriptionResult(
-        problem, float(payload["shift_constant"]), potential, final, ()
-    )
+    with _read_json(args.cert) as payload:
+        potential = {v: float(p) for v, p in payload["potential"].items()}
+        shift = float(payload["shift_constant"])
+    result = presc.PrescriptionResult(problem, shift, potential, final, ())
     _, passed = _certify("verify", problem, result)
     return EXIT_PASS if passed else EXIT_FALSIFIED
 

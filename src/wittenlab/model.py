@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUANTA = 6
+_MAX_RECORDS = 10**6  # model_spectrum's bound; the benchmark's n = 3 needs 1029
 _FD_COUNT = 10  # lowest eigenvalues compared by numeric_model_check
 _FD_REL_TOL = 1e-4  # largest two-grid drift numeric_model_check accepts
 _CUTOFF_PANELS = 1024  # trapezoid panels on the half support of the integrand
@@ -77,7 +79,8 @@ def model_spectrum(spec, degree, mu, max_quanta=DEFAULT_MAX_QUANTA):
     """All model eigenvalues on ``degree``-forms with u_j <= max_quanta.
 
     Returns the sorted multiset as ModelEigenvalue records; zero appears
-    exactly once, and only when degree equals the index.
+    exactly once, and only when degree equals the index.  Raises DomainError,
+    before any record is built, when there would be over ``_MAX_RECORDS``.
     """
     if not 0 <= degree <= spec.n:
         raise DomainError(f"degree must lie in [0, {spec.n}]")
@@ -85,6 +88,9 @@ def model_spectrum(spec, degree, mu, max_quanta=DEFAULT_MAX_QUANTA):
         raise DomainError("mu must be positive")
     if max_quanta < 0:
         raise DomainError("max_quanta must be nonnegative")
+    count = (max_quanta + 1) ** spec.n * comb(spec.n, degree)
+    if count > _MAX_RECORDS:
+        raise DomainError(f"{count} eigenvalue records exceed the bound {_MAX_RECORDS}")
     eps = spec.signs
     out = []
     for plus in combinations(range(spec.n), degree):

@@ -414,10 +414,6 @@ class HodgeData:
     image_d_dims: tuple
     image_delta_dims: tuple
 
-    @property
-    def betti(self):
-        return self.kernel_dims
-
 
 def hodge_ranks_numeric(graph, z) -> HodgeData:
     """Dimensions of the Hodge splitting C_k = H_k + im d_{k-1} + im d_k* at z.
@@ -496,9 +492,6 @@ class LeadingComplex:
 
     matrices: tuple
     a: tuple
-
-    def matrix(self, k):
-        return self.matrices[k]
 
 
 def leading_complex(graph) -> LeadingComplex:

@@ -3,8 +3,8 @@
 A graded complex is a finite sequence of complex matrices d_k mapping degree-k
 coefficient vectors to degree-(k+1) vectors with d_{k+1} d_k = 0.  This module
 assembles the associated Laplacians, decomposes them, and evaluates spectral
-zeta sums and heat supertraces, the latter optionally restricted to the small
-(<= 1) or large (> 1) spectrum.
+zeta sums and heat supertraces, the latter over all eigenvalues or off the
+numeric kernel.
 
 Each check runs once: d^2 = 0 when a complex is built (it also bounds
 d_k D_k - D_{k+1} d_k), Hermitian symmetry when a family is built, and the
@@ -67,7 +67,7 @@ _TOL_PSD = 1e-8
 _TOL_EIG = 1e-12
 _TOL_UNITARY = 1e-10
 
-SUBSETS = ("all", "perp", "small", "large")
+SUBSETS = ("all", "perp")
 
 
 def kernel_threshold(largest) -> float:
@@ -95,8 +95,7 @@ class GradedMatrixComplex:
         Sequence of complex matrices; entry k maps degree k to degree k+1.
         May be empty for a complex concentrated in one degree.
     degrees:
-        Dimensions N_0..N_n.  Required when ``differentials`` is empty or
-        does not determine the degree sizes.
+        Dimensions N_0..N_n; each d_k must have shape (N_{k+1}, N_k).
     exact:
         Combinatorially exact source (graph-built): a much tighter d^2
         tolerance applies.  Bitwise zero is not required because BLAS
@@ -104,12 +103,8 @@ class GradedMatrixComplex:
         certified separately at the graph level.
     """
 
-    def __init__(self, differentials, degrees=None, exact=False):
+    def __init__(self, differentials, degrees, exact=False):
         mats = [np.asarray(d, dtype=complex) for d in differentials]
-        if degrees is None:
-            if not mats:
-                raise ShapeError("degrees required when no differentials are given")
-            degrees = [mats[0].shape[1]] + [d.shape[0] for d in mats]
         degrees = tuple(int(n) for n in degrees)
         if any(n < 0 for n in degrees):
             raise ShapeError("degree dimensions must be nonnegative")
@@ -378,15 +373,9 @@ def betti_numbers(family: GradedLaplacianFamily, warn_ambiguous=True):
 
 
 def _subset_mask(w, subset, tol):
-    if subset == "all":
-        return np.ones_like(w, dtype=bool)
-    if subset == "perp":
-        return w >= tol
-    if subset == "small":
-        return w <= 1.0
-    if subset == "large":
-        return w > 1.0
-    raise DomainError(f"subset must be one of {SUBSETS}, got {subset!r}")
+    if subset not in SUBSETS:
+        raise DomainError(f"subset must be one of {SUBSETS}, got {subset!r}")
+    return w >= tol if subset == "perp" else np.ones_like(w, dtype=bool)
 
 
 def _weight_diagonal(weight, k, frame):
@@ -431,11 +420,11 @@ def _graded_sum(family, weight, select, term, graded=True) -> complex:
 
 
 def heat_supertrace(family, weight, t, subset="all") -> complex:
-    """Degree-alternating trace of B e^{-t D} restricted to a spectral subset.
+    """Degree-alternating trace of B e^{-t D} over all eigenvalues or off the kernel.
 
     ``weight`` may be None (identity), a scalar, or a per-degree sequence of
-    matrices/scalars.  ``subset`` selects all eigenvalues, the orthogonal
-    complement of the kernel, or the small/large branches of the spectrum.
+    matrices/scalars.  ``subset`` is ``"all"`` or ``"perp"``, the orthogonal
+    complement of the numeric kernel.
     """
     if t <= 0:
         raise DomainError("heat time t must be positive")

@@ -183,8 +183,8 @@ class CertificateReport:
     def all_pass(self):
         return self.exactness and self.negativity and self.costs_ok
 
-    def to_json(self, stages=None):
-        """JSON-ready dict of the certificate, plus ``stages`` if given."""
+    def to_json(self, stages):
+        """JSON-ready dict of the certificate and its ``stages``."""
         payload = {
             "exactness": self.exactness,
             "negativity": self.negativity,
@@ -193,8 +193,7 @@ class CertificateReport:
         }
         if self.counterexample is not None:
             payload["counterexample"] = str(self.counterexample)
-        if stages is not None:
-            payload["stages"] = stages
+        payload["stages"] = stages
         return payload
 
 

@@ -1,22 +1,21 @@
 """Tempered-distribution pairings of heat supertraces with test functions.
 
 For a circle system at deformation strength mu, the pairing integrates the
-coexact heat supertrace against the Fourier transform of a Schwartz test
+coexact heat supertrace against the Fourier transform of one Gaussian test
 function, with the heat-time integral innermost or outermost.  The two
 orders coincide by construction: per eigenpair the heat-time integral over
 (t, infinity) is e^{-t lambda}/lambda, which telescopes to the regularized
 trace as t -> 0, so the inner integral at each frequency node is the zeta
-invariant that the outer order takes first.  Both orders therefore run one
-quadrature of :func:`~wittenlab.circle.zeta_invariant`.  As mu grows the
-pairing converges to the limit invariant times the test function's value at
-zero.
+invariant that the outer order takes first.  One function, under both
+names, serves both orders.  As mu grows the pairing converges to the limit
+invariant times the test function's value at zero.
 
-The frequency quadrature is the 65-node Gauss-Kronrod rule on each test
-function component's own truncation radius; the 32-node Gauss rule embedded
-in it reads the same zeta values, and |Kronrod - Gauss| is the error
-estimate (as in QUADPACK, Piessens et al. 1983).  A pairing whose estimate
-exceeds ``_QUAD_RTOL`` of the integrand mass raises ``ConvergenceError``
-instead of returning an uncertified value.
+The frequency quadrature is the 65-node Gauss-Kronrod rule on the test
+function's truncation radius; the 32-node Gauss rule embedded in it reads
+the same zeta values, and |Kronrod - Gauss| is the error estimate (as in
+QUADPACK, Piessens et al. 1983).  A pairing whose estimate exceeds
+``_QUAD_RTOL`` of the integrand mass raises ``ConvergenceError`` instead of
+returning an uncertified value.
 
 Only the centered Gaussian family is implemented.  Its transform's mass
 beyond the truncation radius is a closed form; times the sup of |zeta|
@@ -122,42 +121,29 @@ class GaussianTestFunction:
         )
 
 
-def _components(spec):
-    if isinstance(spec, GaussianTestFunction):
-        return (spec,)
-    return tuple(spec)
-
-
 @dataclass(frozen=True)
 class PairingResult:
     value: complex
     mu: float
-    order: str  # a tag only: both orders evaluate the same quadrature
-    radius: float  # the widest component's truncation radius
+    radius: float  # the test function's truncation radius
     tail_bound: float  # omitted f-hat mass; error <= it x sup |zeta| beyond
     node_count: int
-    quadrature_error: float  # |Kronrod - Gauss|, summed over components
+    quadrature_error: float  # |Kronrod - Gauss|
 
 
-def _pair(system, mu, spec, order) -> PairingResult:
-    """Gauss-Kronrod frequency quadrature of the zeta invariant, one rule
-    per test function component on its own truncation radius."""
-    specs = _components(spec)
+def pair_outer_first(system, mu, spec) -> PairingResult:
+    """Heat-time limit first (zeta invariant per frequency node), then the
+    Gauss-Kronrod frequency quadrature of the Gaussian ``spec`` on its
+    truncation radius.  :func:`pair_inner_first` is this function: with the
+    heat-time integral innermost, each node carries the same zeta invariant."""
     x, wk, wg = _kronrod(32)  # built by the first pairing, not at import
-    total = 0.0 + 0.0j
-    error = mass = 0.0
-    for s in specs:
-        radius = s.truncation_radius
-        nodes = radius * x
-        zeta = np.array(
-            [zeta_invariant(system, complex(mu, nu)).value for nu in nodes]
-        )
-        terms = radius * s.hat(nodes) * zeta
-        kronrod = wk @ terms
-        total += kronrod
-        error += abs(kronrod - wg @ terms[1::2])
-        mass += wk @ np.abs(terms)
-    error /= 2.0 * np.pi
+    radius = spec.truncation_radius
+    nodes = radius * x
+    zeta = np.array([zeta_invariant(system, complex(mu, nu)).value for nu in nodes])
+    terms = radius * spec.hat(nodes) * zeta
+    kronrod = wk @ terms
+    error = abs(kronrod - wg @ terms[1::2]) / (2.0 * np.pi)
+    mass = wk @ np.abs(terms)
     if error > _QUAD_RTOL * mass / (2.0 * np.pi):
         raise ConvergenceError(
             f"frequency quadrature estimate {error:.3e} exceeds {_QUAD_RTOL:g} "
@@ -165,29 +151,13 @@ def _pair(system, mu, spec, order) -> PairingResult:
             data=error,
         )
     return PairingResult(
-        value=total / (2.0 * np.pi),
-        mu=float(mu),
-        order=order,
-        radius=max(s.truncation_radius for s in specs),
-        tail_bound=float(sum(s.tail_bound(s.truncation_radius) for s in specs)),
-        node_count=len(specs) * len(x),
+        value=kronrod / (2.0 * np.pi), mu=float(mu), radius=radius,
+        tail_bound=float(spec.tail_bound(radius)), node_count=len(x),
         quadrature_error=float(error),
     )
 
 
-def pair_inner_first(system, mu, spec) -> PairingResult:
-    """Heat-time integral innermost, frequency quadrature outermost.
-
-    Per eigenpair the heat-time integral telescopes to the regularized
-    trace, so each node carries the zeta invariant and the value coincides
-    with :func:`pair_outer_first` by construction."""
-    return _pair(system, mu, spec, "inner")
-
-
-def pair_outer_first(system, mu, spec) -> PairingResult:
-    """Heat-time limit first (zeta invariant per frequency node), then the
-    frequency quadrature."""
-    return _pair(system, mu, spec, "outer")
+pair_inner_first = pair_outer_first
 
 
 @dataclass(frozen=True)
@@ -214,14 +184,14 @@ class DeltaLimitReport:
 def delta_limit_report(system, mu_sweep, specs, target, order="outer"):
     """Deviation table |pairing - target * f(0)| across the strength sweep,
     one test function per entry of ``specs``; includes the 1/mu-extrapolated
-    limit estimate per test function."""
-    pair = pair_outer_first if order == "outer" else pair_inner_first
+    limit estimate per test function.  Both orders take the same
+    quadrature, so ``order`` only tags the rows."""
     rows = []
     extrapolated = {}
     for spec in specs:
         values = []
         for mu in mu_sweep:
-            res = pair(system, mu, spec)
+            res = pair_outer_first(system, mu, spec)
             dev = abs(res.value - target * spec.at_zero)
             rows.append(
                 DeltaLimitRow(float(mu), spec.sigma, order, res.value, float(dev))

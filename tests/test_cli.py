@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,9 +267,18 @@ def _malformed_input(kind, tmp_path):
         graph = tmp_path / "bad.graph"
         graph.write_text("v p 1\nv q 0\ne p q x -0.5\n")
         return ["morse", "analyze", "--graph", str(graph), "--mu", "20"]
+    if kind == "cert_potential":
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"potential": 3, "shift_constant": 0.0}))
+        return ["verify", "--graph", str(DATA / "raw.graph"), "--targets", "4",
+                "--result", str(DATA / "s1.graph"), "--cert", str(cert)]
     cfg = json.loads((DATA / "two_zero_exact.json").read_text())
     if kind == "grid_text":
         cfg["N"] = "abc"
+    elif kind == "zeros_scalar":
+        cfg = {"type": "standard_zeros", "zeros": 5}
+    elif kind == "top_level_list":
+        cfg = [1, 2]
     else:
         del cfg["zeros"]
     bad = tmp_path / "bad.json"
@@ -282,6 +292,29 @@ def test_malformed_input_exits_3(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["zeros_scalar", "top_level_list", "cert_potential"])
+def test_wrong_json_shape_exits_3(kind, tmp_path, capsys):
+    # JSON that parses but has the wrong shape is infeasible input
+    assert run(*_malformed_input(kind, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "unexpected JSON shape" in err and "Traceback" not in err
+
+
+def test_trig_profile_config(tmp_path, capsys):
+    # h = cos t: a maximum (index 1) at 0 and a minimum (index 0) at pi
+    config = tmp_path / "cos.json"
+    config.write_text(json.dumps({"type": "trig_profile", "cos": [1.0]}))
+    system = cli.load_system(str(config))
+    assert [(z.index, z.position) for z in system.zeros] == [
+        (1, pytest.approx(0.0, abs=1e-12)), (0, pytest.approx(math.pi))
+    ]
+    assert system.c == 0
+    assert run("circle", "zeta", "--config", str(config), "--mu", "10") == 0
+    out = capsys.readouterr().out
+    assert "[PASS] exact-form value within 1e-6 of continuum (mu=10)" in out
 
 
 def test_h_channel_guard_raises_and_exits_3(monkeypatch, capsys):

@@ -22,7 +22,7 @@ def test_all_entries_resolve(name):
     assert not missing, f"wittenlab.{name}.__all__ lists undefined {missing}"
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch, exact2_small):
     # the benchmark wraps library names by attribute; a name it traces that
     # the library no longer defines makes install_layers raise here
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -34,10 +34,17 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     try:
         tracing.install_layers(tracer)
         assert zdist.pair_outer_first is not pair
+        # both order names bind one function, wrapped twice: a call through
+        # either name is one span
+        tracer.enabled = True
+        zdist.pair_inner_first(exact2_small, 10.0, zdist.GaussianTestFunction(1.0))
+        tracer.enabled = False
     finally:
         tracer.uninstall()
+    assert [s[tracing.NAME] for s in tracer.spans].count("zdist.pair") == 1
     assert np.linalg.svd is svd
     assert zdist.pair_outer_first is pair
+    assert zdist.pair_inner_first is zdist.pair_outer_first
 
 
 _IMPORT_LEDGER = """

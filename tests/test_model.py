@@ -39,6 +39,12 @@ def test_zero_multiplicity(n, k):
         assert len(zeros) == (1 if d == k else 0)
 
 
+def test_spectrum_bounds_its_enumeration():
+    # n = 12, degree 1 would be 7^12 * 12 (about 1.7e11) records; none is built
+    with pytest.raises(DomainError, match="exceed the bound"):
+        model.model_spectrum(model.MorseModelSpec(12, 1), 1, 1.0)
+
+
 def test_nonzero_at_least_two_mu():
     for n, k in [(1, 0), (2, 2), (3, 1)]:
         for d in range(n + 1):

@@ -88,32 +88,15 @@ def test_eigendecompose_random_hermitian_reconstruction():
     assert resid <= 1e-12 * np.linalg.norm(h, 2)
 
 
-def subset_counts(fam, subset):
-    """Per-degree eigenvalue counts of ``subset``: the heat supertrace at a
-    tiny t, with weight 1 on one degree and 0 on the others."""
-    n = len(fam.degrees)
-    counts = []
-    for k in range(n):
-        weight = [float(j == k) for j in range(n)]
-        trace = heat_supertrace(fam, weight, 1e-12, subset)
-        counts.append(round((-1) ** k * trace.real))
-    return tuple(counts)
-
-
-def test_split_small_large_trivial():
-    # the small spectrum is <= 1 and the large one > 1, at t -> 0 a count
-    fam = family_from_diag([0.0, 0.3, 7.0])
-    assert heat_supertrace(fam, None, 1e-12, "small") == pytest.approx(2.0)
-    assert heat_supertrace(fam, None, 1e-12, "large") == pytest.approx(1.0)
-    fam2 = family_from_diag([0.1, 0.9, 1.0])
-    assert heat_supertrace(fam2, None, 1e-12, "small") == pytest.approx(3.0)
-    assert heat_supertrace(fam2, None, 1e-12, "large") == 0.0
+def small_counts(fam):
+    """Per-degree counts of the small spectrum, the eigenvalues <= 1."""
+    return tuple(int(np.count_nonzero(w <= 1.0)) for w in fam.eigenvalues)
 
 
 def test_split_counts_match_zero_count_on_circle(tight2):
     cx = wl.assemble_circle_complex(tight2, 20.0)
     fam = eigendecompose(assemble_laplacians(cx))
-    assert subset_counts(fam, "small") == tight2.counts
+    assert small_counts(fam) == tight2.counts
 
 
 def test_split_invariant_under_unitary_change_of_basis(tight2):
@@ -127,7 +110,7 @@ def test_split_invariant_under_unitary_change_of_basis(tight2):
     fam1 = eigendecompose(assemble_laplacians(cx))
     conj = [qs[k + 1] @ d @ qs[k].conj().T for k, d in enumerate(cx.differentials)]
     fam2 = eigendecompose(assemble_laplacians(GradedMatrixComplex(conj, cx.degrees)))
-    assert subset_counts(fam1, "small") == subset_counts(fam2, "small")
+    assert small_counts(fam1) == small_counts(fam2)
 
 
 def test_heat_supertrace_zero_complex():
@@ -192,7 +175,7 @@ def _near_complex(rng):
     d0 = shape(4, 2) @ shape(2, 3)
     q, _ = np.linalg.qr(d0)
     d1 = shape(3, 4) @ (np.eye(4) - q[:, :2] @ q[:, :2].conj().T)
-    return GradedMatrixComplex([d0, d1 + 1e-12 * shape(3, 4)])
+    return GradedMatrixComplex([d0, d1 + 1e-12 * shape(3, 4)], (3, 4, 3))
 
 
 def _commutation_residuals(cx):
@@ -588,7 +571,7 @@ def test_blockwise_eigendecompose_matches_one_dense_eigh():
     for weight in weights:
         for t in (0.05, 0.7):
             ungraded = sum(np.exp(-t * w).sum() for w in ref.eigenvalues)
-            for subset in ("all", "perp", "small", "large"):
+            for subset in spectral.SUBSETS:
                 got = heat_supertrace(fam, weight, t, subset)
                 want = heat_supertrace(ref, weight, t, subset)
                 assert abs(got - want) <= 1e-12 * ungraded

@@ -98,17 +98,6 @@ def test_zero_test_function(exact2):
     assert abs(res.value) < 1e-14
 
 
-def test_pairing_linearity(tight2):
-    s1 = zdist.GaussianTestFunction(1.0)
-    s2 = zdist.GaussianTestFunction(0.7, amplitude=2.0)
-    both = zdist.pair_inner_first(tight2, 12.0, (s1, s2))
-    a = zdist.pair_inner_first(tight2, 12.0, s1)
-    b = zdist.pair_inner_first(tight2, 12.0, s2)
-    # a spec with two components pairs as the sum of its components
-    assert abs(both.value - (a.value + b.value)) <= 1e-10 + a.tail_bound \
-        + b.tail_bound + both.tail_bound
-
-
 def test_orders_agree_exact(exact2, gaussian):
     inner = zdist.pair_inner_first(exact2, 20.0, gaussian)
     outer = zdist.pair_outer_first(exact2, 20.0, gaussian)
