@@ -10,12 +10,13 @@ transpose in the flat metric.  All spectral quantities of the two Laplacians
 are derived from the singular values of that single matrix, which keeps
 exponentially small eigenvalues meaningful relative to the matrix scale.
 Quantities that pair eigenvectors with weights (zeta invariants, trace
-identities, cell integrals, tori) read the full singular value
-decomposition; the kernel count and the spectral-gap sweep read the
-singular values alone, from a values-only bidiagonal SVD that keeps small
-values to high relative accuracy (Demmel-Kahan 1990).  Both apply one
-kernel rule, and a system keeps either in one bounded cache keyed by the
-parameter.
+identities, tori) read the full singular value decomposition; the kernel
+count and the spectral-gap sweep read the singular values alone, from a
+values-only bidiagonal SVD that keeps small values to high relative
+accuracy (Demmel-Kahan 1990).  Both apply one kernel rule, and a system
+keeps either in one bounded cache keyed by the parameter.  Cell integrals
+read only the singular subspaces with sigma^2 <= 1, from block inverse
+iteration with a certified count (numpy alone, no full SVD).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     DomainError,
     GeometryError,
     LyapunovError,
+    NumericalError,
     StateError,
     UnsupportedError,
 )
@@ -105,6 +107,16 @@ def differentiation_matrix(N):
         D = np.fft.ifft(1j * k[:, None] * F, axis=0)
         _diff_matrix_cache[N] = 0.5 * (D - D.conj().T)
     return _diff_matrix_cache[N]
+
+
+def _derivative_gram(N):
+    """D^* D for the differentiation matrix D of the N-point grid, kept
+    beside D itself."""
+    key = ("gram", N)
+    if key not in _diff_matrix_cache:
+        D = differentiation_matrix(N)
+        _diff_matrix_cache[key] = D.conj().T @ D
+    return _diff_matrix_cache[key]
 
 
 def _fourier_coeffs(samples):
@@ -882,19 +894,94 @@ def _cutoff_state(system, z, p_idx, r_hat, rho, normalizer):
     return (vals, zero) if zp.index == 0 else (zero, vals)
 
 
+#: Guard columns beside the seeds of the small singular subspaces, added
+#: again each time the count certificate fails.
+_SUBSPACE_GUARDS = 4
+#: Block inverse-iteration steps before the subspace solver gives up.
+_SUBSPACE_STEPS = 40
+#: Subspace angle bound at which the iteration stops.
+_SUBSPACE_ANGLE = 1e-12
+
+
+def _small_subspaces(system, z, seeds):
+    """Orthonormal bases (V_k, U_k) of the right and left singular subspaces
+    of d = d_z with sigma^2 <= 1, without a full SVD.
+
+    Block inverse iteration on A = d^*d starts from ``seeds`` and
+    ``_SUBSPACE_GUARDS`` fixed-seed random columns: each step solves with
+    d^* and then with d, and a thin SVD of d X gives the Ritz pairs
+    (Rayleigh-Ritz).  The k Ritz values <= 1 show at least k eigenvalues of
+    A <= 1 (Cauchy interlacing).  The Ritz residual R = A V_k - V_k S_k^2
+    bounds the subspace angle by ||R||_F / (1 - max S_k^2) (the sin-theta
+    theorem of Davis and Kahan, SIAM J. Numer. Anal. 7, 1970).  The
+    iteration stops when that bound is <= 1e-12, when ||R||_F reaches the
+    rounding floor 100 eps ||A|| (||d|| <= N/2 + |z| max |eta|), or when a
+    step at the same k fails to halve ||R||_F: inverse iteration with four
+    guard columns contracts it faster unless five eigenvalues of A lie in
+    (1, 2], so only rounding stalls it.  A Cholesky factor of
+    A - I + 2 V_k V_k^* then shows at most k eigenvalues <= 1, so the rest
+    of the spectrum lies above 1, the gap of the angle bound.  Without a
+    factor some direction lies outside the block, and the block grows by
+    more guard columns; past ``_SUBSPACE_STEPS`` steps NumericalError is
+    raised.  U_k spans d^{-*} V_k, as d^* u_j = sigma_j v_j.
+    """
+    N = system.N
+    d = system.differential(z)
+    dh = d.conj().T
+    D, eta = differentiation_matrix(N), system.eta
+    # A - I, with A = D^*D + conj(z) eta D - z D eta + |z|^2 eta^2 as D^* = -D
+    shifted = _derivative_gram(N) + np.conj(z) * (eta[:, None] * D) - z * (D * eta)
+    shifted[np.diag_indices(N)] += abs(z) ** 2 * eta**2 - 1.0
+    floor = 100.0 * np.finfo(float).eps * (N / 2 + abs(z) * np.max(np.abs(eta))) ** 2
+    rng = np.random.default_rng(0)
+
+    def guards():
+        shape = (N, _SUBSPACE_GUARDS)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = np.linalg.qr(np.column_stack([*seeds, guards()]))[0]
+    last = (None, np.inf)  # (k, ||R||_F) of the previous step
+    for _ in range(_SUBSPACE_STEPS):
+        x = np.linalg.qr(np.linalg.solve(d, np.linalg.solve(dh, x)))[0]
+        _, s, zh = np.linalg.svd(d @ x, full_matrices=False)
+        s, x = s[::-1] ** 2, x @ zh[::-1].conj().T  # Ritz values ascending
+        k = int(np.count_nonzero(s <= 1.0))
+        vk = x[:, :k]
+        residual = np.linalg.norm(shifted @ vk + vk * (1.0 - s[:k]))
+        gap = 1.0 - (s[k - 1] if k else 0.0)
+        stalled = last[0] == k and residual > 0.5 * last[1]
+        last = (k, residual)
+        if residual > max(_SUBSPACE_ANGLE * gap, floor) and not stalled:
+            continue
+        try:
+            np.linalg.cholesky(shifted + 2.0 * vk @ vk.conj().T)
+        except np.linalg.LinAlgError:
+            x = np.linalg.qr(np.column_stack([x, guards()]))[0]
+            last = (None, np.inf)
+            continue
+        return vk, np.linalg.qr(np.linalg.solve(dh, vk))[0]
+    raise NumericalError(
+        f"small singular subspaces of d_z at z={z} not certified in "
+        f"{_SUBSPACE_STEPS} inverse-iteration steps"
+    )
+
+
 def phi_psi_matrix(system, z):
-    """Matrix of the cell-integration map composed with the projected cutoff
-    states, plus the per-zero asymptotic targets (pi/mu)^{k/2} (mu/pi)^{1/4}."""
+    """Matrix of the cell-integration map composed with the cutoff states
+    projected onto the singular subspaces of d_z with sigma^2 <= 1, plus
+    the per-zero asymptotic targets (pi/mu)^{k/2} (mu/pi)^{1/4}.
+
+    The subspaces come from :func:`_small_subspaces`, seeded with the
+    index-0 cutoff states (the 0-form side); no full SVD is taken."""
     z = complex(z)
     mu = z.real
     profile = _cutoff_profile(system, z)
-    nzeros = len(system.zeros)
+    states = [_cutoff_state(system, z, p, *profile) for p in range(len(system.zeros))]
+    seeds = [omega0 for (omega0, _), zp in zip(states, system.zeros) if zp.index == 0]
+    vs, us = _small_subspaces(system, z, seeds)
+    nzeros = len(states)
     mat = np.zeros((nzeros, nzeros), dtype=complex)
-    sigma, u, v = system.spectrum(z)
-    small = _kernel_split(sigma)[3]
-    vs, us = v[:, small], u[:, small]
-    for p in range(nzeros):
-        omega0, omega1 = _cutoff_state(system, z, p, *profile)
+    for p, (omega0, omega1) in enumerate(states):
         proj = (vs @ (vs.conj().T @ omega0), us @ (us.conj().T @ omega1))
         for q in range(nzeros):
             mat[q, p] = phi_map_circle(system, z, proj, q)
@@ -983,7 +1070,8 @@ def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
     slope leave out the topological kernel, the Novikov Betti number per
     degree (1 for exact forms, 0 otherwise), taken as the smallest values:
     its eigenvalues are rounding noise, so an exact two-zero system reports
-    ``max_small`` 0 and slope -inf (no decay fit)."""
+    ``max_small`` 0 and slope -inf (no decay fit).  A sweep of fewer than
+    two distinct mu has no slope either, and reports nan."""
     kernel = 1 if system.exact else 0
     max_small, min_large, counts = [], [], []
     for mu in mu_sweep:
@@ -996,7 +1084,9 @@ def spectral_gap_report(system, mu_sweep, nu=0.0) -> GapReport:
         min_large.append(float(large.min()) if large.size else np.inf)
         counts.append(int(np.count_nonzero(small)))
     ms = np.asarray(max_small)
-    if np.all(ms > 0):
+    if len(set(mu_sweep)) < 2:
+        slope = np.nan
+    elif np.all(ms > 0):
         slope = float(np.polyfit(np.asarray(mu_sweep, float), np.log(ms), 1)[0])
     else:
         slope = -np.inf

@@ -15,11 +15,16 @@ The cutoff normalization is a trapezoidal sum: its integrand is C-infinity
 with every derivative vanishing at the ends of its support, where the
 trapezoidal rule converges faster than any power of the step (Trefethen and
 Weideman, SIAM Review 56(3), 2014).  Only the finite-difference check loads
-SciPy (its tridiagonal eigensolver), and only when it runs.
+SciPy (its tridiagonal eigensolver), and only when it runs.  The sign term
+mu eps_j [dx_j interior, dx_j wedge] is the constant +-mu in one dimension,
+so the check solves -u'' + mu^2 x^2 once per strength and grid and shifts
+the eigenvalues; a bounded cache shares those solves between the index and
+degree cases.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -43,6 +48,9 @@ DEFAULT_MAX_QUANTA = 6
 _MAX_RECORDS = 10**6  # model_spectrum's bound; the benchmark's n = 3 needs 1029
 _FD_COUNT = 10  # lowest eigenvalues compared by numeric_model_check
 _FD_REL_TOL = 1e-4  # largest two-grid drift numeric_model_check accepts
+#: Base spectra kept, one per (mu, grid): the fine and coarse grids of two
+#: strengths.  The four index/degree cases of one strength share two.
+_FD_CACHE_SIZE = 4
 _CUTOFF_PANELS = 1024  # trapezoid panels on the half support of the integrand
 #: e^{-mu x^2} < e^{-40} beyond the cut x = sqrt(40 / mu) of the support.
 _CUTOFF_GAUSS_EXPONENT = 40.0
@@ -166,18 +174,26 @@ class ModelCheckReport:
         return max(self.rel_errors)
 
 
-def _fd_spectrum(mu, eps_term, L, m, count):
-    """Lowest eigenvalues of -u'' + mu^2 x^2 + eps_term on (-L, L), Dirichlet."""
+@functools.lru_cache(maxsize=_FD_CACHE_SIZE)
+def _fd_base_spectrum(mu, L, m, count):
+    """Lowest eigenvalues of -u'' + mu^2 x^2 on (-L, L), Dirichlet, read-only."""
     from scipy.linalg import eigh_tridiagonal
 
     h = 2.0 * L / (m + 1)
     x = -L + h * np.arange(1, m + 1)
-    diag = 2.0 / h**2 + mu**2 * x**2 + eps_term
+    diag = 2.0 / h**2 + mu**2 * x**2
     off = np.full(m - 1, -1.0 / h**2)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
     )
+    vals.flags.writeable = False
     return vals
+
+
+def _fd_spectrum(mu, eps_term, L, m, count):
+    """Lowest eigenvalues of -u'' + mu^2 x^2 + eps_term on (-L, L), Dirichlet:
+    the cached base spectrum shifted by the constant eps_term."""
+    return _fd_base_spectrum(mu, L, m, count) + eps_term
 
 
 def numeric_model_check(spec, mu, degree, grid_points=3000):

@@ -144,10 +144,12 @@ def pair_outer_first(system, mu, spec) -> PairingResult:
     kronrod = wk @ terms
     error = abs(kronrod - wg @ terms[1::2]) / (2.0 * np.pi)
     mass = wk @ np.abs(terms)
-    if error > _QUAD_RTOL * mass / (2.0 * np.pi):
+    bound = _QUAD_RTOL * mass / (2.0 * np.pi)
+    if error > bound:
         raise ConvergenceError(
-            f"frequency quadrature estimate {error:.3e} exceeds {_QUAD_RTOL:g} "
-            f"of the integrand mass at mu={mu:g}",
+            f"frequency quadrature estimate {error:.3e} exceeds the bound "
+            f"{bound:.3e}, {_QUAD_RTOL:g} of the integrand mass "
+            f"{mass / (2.0 * np.pi):.3e}, at mu={mu:g}",
             data=error,
         )
     return PairingResult(
@@ -185,7 +187,10 @@ def delta_limit_report(system, mu_sweep, specs, target, order="outer"):
     """Deviation table |pairing - target * f(0)| across the strength sweep,
     one test function per entry of ``specs``; includes the 1/mu-extrapolated
     limit estimate per test function.  Both orders take the same
-    quadrature, so ``order`` only tags the rows."""
+    quadrature, so ``order`` only tags the rows.  The fit needs at least two
+    distinct strengths; fewer raise DomainError."""
+    if len(set(mu_sweep)) < 2:
+        raise DomainError("the 1/mu fit needs at least two distinct strengths")
     rows = []
     extrapolated = {}
     for spec in specs:

@@ -137,6 +137,15 @@ def cutoff_state_loop(system, z, p_idx):
     return vals
 
 
+def small_projectors_svd(system, z):
+    """Projectors onto the right and left singular subspaces of d_z with
+    sigma^2 <= 1, from one full SVD of the differential."""
+    u, s, vh = np.linalg.svd(system.differential(z))
+    small = s**2 <= 1.0
+    v, u = vh.conj().T[:, small], u[:, small]
+    return v @ v.conj().T, u @ u.conj().T
+
+
 def torus_tensor(sys_a, sys_b, z):
     """Kronecker product complex of two circle systems, degrees 0..2, of
     sizes (N^2, 2 N^2, N^2) for equal grids; the graded sign rule makes the

@@ -11,6 +11,7 @@ from wittenlab.errors import (
     AmbiguousKernel,
     ConfigError,
     GeometryError,
+    NumericalError,
     StateError,
     UnsupportedError,
 )
@@ -22,6 +23,7 @@ from oracles import (
     arc_weight_quadrature,
     cell_integral_loop,
     cutoff_state_loop,
+    small_projectors_svd,
     smooth_step_moment_quadrature,
 )
 
@@ -604,6 +606,86 @@ def test_cell_integration_matches_pointwise_loop(name, request):
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
+def _index0_seeds(system, z):
+    profile = circle._cutoff_profile(system, z)
+    return [circle._cutoff_state(system, z, p, *profile)[0]
+            for p, zp in enumerate(system.zeros) if zp.index == 0]
+
+
+def _assert_matches_svd(system, z, vs, us):
+    pv, pu = small_projectors_svd(system, z)
+    assert vs.shape[1] == us.shape[1] == round(np.trace(pv).real)
+    assert np.max(np.abs(vs @ vs.conj().T - pv)) <= 1e-10
+    assert np.max(np.abs(us @ us.conj().T - pu)) <= 1e-10
+
+
+@pytest.mark.parametrize("name, zs", [
+    ("exact2", [8.0, 16.0, complex(12.0, 1.5), 22.0]),
+    ("tight2", [0.1, 1.0, 10.0, complex(16.0, -2.0), 22.0]),
+    # at 16 + 0.5i the N = 512 residual stalls at rounding, 7e-9, above the
+    # floor 100 eps ||d^*d|| = 1.8e-9
+    ("exact4", [8.0, complex(12.0, 0.5), 16.0, complex(16.0, 0.5)]),
+])
+def test_small_subspaces_match_full_svd(name, zs, request):
+    system = request.getfixturevalue(name)
+    for z in map(complex, zs):
+        _assert_matches_svd(system, z, *circle._small_subspaces(
+            system, z, _index0_seeds(system, z)))
+
+
+def test_small_count_is_not_the_zero_count(tight2):
+    # at mu = 0.1 the tight form has two singular values with sigma^2 <= 1
+    # (7.7e-4 and 0.998) for one index-0 zero, and phi projects onto both
+    z = complex(0.1, 0.0)
+    vs, us = circle._small_subspaces(tight2, z, _index0_seeds(tight2, z))
+    assert tight2.counts[0] == 1 and vs.shape[1] == 2
+    _assert_matches_svd(tight2, z, vs, us)
+
+
+def test_small_subspaces_grow_until_the_count_is_certified(tight2, monkeypatch):
+    # one column finds the smallest direction alone; the Cholesky factor
+    # of d^*d - I + 2 V V^* then fails, and the block grows to find the
+    # second one
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(circle, "_SUBSPACE_GUARDS", 1)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    z = complex(0.1, 0.0)
+    vs, us = circle._small_subspaces(tight2, z, [])
+    assert len(calls) >= 2 and vs.shape[1] == 2
+    _assert_matches_svd(tight2, z, vs, us)
+
+
+def test_small_subspaces_raise_when_never_certified(tight2, monkeypatch):
+    # with no guard columns the block of one seed never holds the second
+    # small direction, so the count is never certified
+    monkeypatch.setattr(circle, "_SUBSPACE_GUARDS", 0)
+    monkeypatch.setattr(circle, "_SUBSPACE_STEPS", 6)
+    z = complex(0.1, 0.0)
+    with pytest.raises(NumericalError, match="not certified in 6"):
+        circle._small_subspaces(tight2, z, _index0_seeds(tight2, z))
+
+
+@pytest.mark.parametrize("name, mu", [("tight2", 0.1), ("exact4", 12.0)])
+def test_phi_psi_matrix_matches_full_svd_projection(name, mu, request):
+    system = request.getfixturevalue(name)
+    z = complex(mu, 0.0)
+    mat, _ = circle.phi_psi_matrix(system, z)
+    pv, pu = small_projectors_svd(system, z)
+    profile = circle._cutoff_profile(system, z)
+    for p in range(len(system.zeros)):
+        omega0, omega1 = circle._cutoff_state(system, z, p, *profile)
+        proj = (pv @ omega0, pu @ omega1)
+        for q in range(len(system.zeros)):
+            want = wl.phi_map_circle(system, z, proj, q)
+            assert abs(mat[q, p] - want) <= 1e-10
+
+
 def test_phi_psi_matrix_normalizes_cutoff_once(exact4, monkeypatch):
     calls = []
     real = circle.cutoff_normalization
@@ -709,6 +791,15 @@ def test_spectral_gap_report(tight2):
     assert all(c == 1 for m, c in zip(rep.mu_values, rep.small_counts) if m >= 10)
     assert rep.slope_log_small < -0.1
     assert all(v >= 0.2 for v in rep.min_large_over_mu)
+
+
+@pytest.mark.parametrize("mus", [[10.0], [10.0, 10.0]])
+def test_gap_fits_no_slope_on_one_mu(tight2, mus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        rep = circle.spectral_gap_report(tight2, mus)
+    assert np.isnan(rep.slope_log_small)
+    assert rep.small_counts == (1,) * len(mus)
 
 
 def test_gap_exact_small_is_kernel(exact2_small):

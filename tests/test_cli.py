@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wittenlab import circle, cli, model, morse
@@ -145,6 +147,17 @@ def test_circle_gap(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("mus", ["10", "10,10"])
+def test_circle_gap_one_mu_fits_no_slope(mus, capsys):
+    # a slope needs two distinct mu: one point prints no slope check and
+    # raises no RankWarning from a one-point fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        code = run("circle", "gap", "--config", str(DATA / "tight.json"), "--mu", mus)
+    assert code == 0
+    assert "slope" not in capsys.readouterr().out
+
+
 _SCIPY_CHECK = """
 import itertools
 import sys
@@ -163,8 +176,9 @@ for command in [list(args) for cut, args in split if not cut]:
 
 def test_import_and_readme_commands_load_no_scipy(tmp_path):
     # only the finite-difference model check and zero location on sampled
-    # profiles load SciPy; the import, these README commands and a shifted
-    # standard form (whose zeros are known in closed form) do not
+    # profiles load SciPy; the import, these README commands (the cell
+    # integrals of circle phi included) and a shifted standard form (whose
+    # zeros are known in closed form) do not
     shifted = tmp_path / "shifted.json"
     shifted.write_text(json.dumps({
         "type": "standard_zeros", "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]],
@@ -175,12 +189,15 @@ def test_import_and_readme_commands_load_no_scipy(tmp_path):
         [sys.executable, "-c", _SCIPY_CHECK,
          "circle", "zeta", "--config", str(DATA / "two_zero_exact.json"), "--mu", "30",
          "--", "morse", "analyze", "--graph", str(DATA / "s1.graph"), "--mu", "20",
-         "--", "circle", "zeta", "--config", str(shifted), "--mu", "5"],
+         "--", "circle", "zeta", "--config", str(shifted), "--mu", "5",
+         "--", "circle", "phi", "--config", str(DATA / "four_zero_exact.json"),
+         "--mu", "8,12,16"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "zeta1=" in proc.stdout and "z_sm       = 0.45" in proc.stdout
     assert "mu=5: zeta1=" in proc.stdout
+    assert "[PASS] off-diagonal decreasing" in proc.stdout
 
 
 @pytest.mark.parametrize("threads", ["1", None])
@@ -239,6 +256,32 @@ def test_circle_phi_readme_example(capsys):
         "--mu", "8,12,16",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("config", ["tight.json", "two_zero_exact.json"])
+def test_circle_phi_two_zero_configs_pass(config, capsys):
+    # the two zeros have different indices, so every off-diagonal entry of
+    # Phi o Psi is exactly 0; a trend of exact zeros passes
+    code = run("circle", "phi", "--config", str(DATA / config), "--mu", "10,16,22")
+    out = capsys.readouterr().out
+    assert out.count("max off-diagonal=0.000e+00") == 3
+    assert "[PASS] off-diagonal decreasing" in out
+    assert code == 0
+
+
+def test_circle_phi_checks_trends_in_ascending_mu(capsys):
+    code = run("circle", "phi", "--config", str(DATA / "tight.json"), "--mu", "22,10,16")
+    assert "[PASS] diagonal deviation decreasing" in capsys.readouterr().out
+    assert code == 0
+
+
+@pytest.mark.parametrize("mus", ["10", "10,10"])
+def test_circle_phi_needs_two_distinct_mu(mus, capsys):
+    code = run("circle", "phi", "--config", str(DATA / "tight.json"), "--mu", mus)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "at least two distinct --mu values" in captured.err
 
 
 @pytest.mark.parametrize(

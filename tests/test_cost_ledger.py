@@ -1,0 +1,73 @@
+"""Deterministic cost ledger: counts of the factorizations that a run
+performs, pinned by equality in ``cost_ledger.json`` so that a saving shows
+as well as a regression.  A change that moves a count edits the ledger in
+the same diff.
+
+Each ``np.linalg`` call is recorded as ``"<name> <shape of its first
+argument>"``; the finite-difference model check records its tridiagonal
+eigensolver calls the same way.  ``phi_psi_matrix`` takes no N x N SVD,
+only thin ones of N x (block) matrices, and the four index/degree cases of
+one ``model check`` share one fine-grid and one coarse-grid solve.
+"""
+
+import collections
+import inspect
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wittenlab import circle, model
+
+LEDGER = json.loads((Path(__file__).parent / "cost_ledger.json").read_text())
+
+
+def _key(name, args):
+    return f"{name} {'x'.join(map(str, np.shape(args[0])))}"
+
+
+def _linalg_functions():
+    return [(name, f) for name, f in vars(np.linalg).items()
+            if callable(f) and not inspect.isclass(f) and not name.startswith("_")]
+
+
+def _counting(calls, name, func):
+    def wrapper(*args, **kwargs):
+        calls[_key(name, args)] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def _phi_psi_tight2(tight2):
+    circle.phi_psi_matrix(tight2, complex(16.0, 0.0))
+
+
+def _model_check_four_cases(_):
+    model._fd_base_spectrum.cache_clear()
+    for index in (0, 1):
+        for degree in (0, 1):
+            model.numeric_model_check(model.MorseModelSpec(1, index), 4.0, degree)
+
+
+CASES = {
+    "phi_psi_matrix tight2 mu=16": _phi_psi_tight2,
+    "model check mu=4": _model_check_four_cases,
+}
+
+
+def test_ledger_names_every_case():
+    assert set(LEDGER) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cost_ledger(case, tight2, monkeypatch):
+    import scipy.linalg
+
+    calls = collections.Counter()
+    for name, func in _linalg_functions():
+        monkeypatch.setattr(np.linalg, name, _counting(calls, name, func))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _counting(
+        calls, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal))
+    CASES[case](tight2)
+    assert dict(calls) == LEDGER[case]

@@ -149,6 +149,38 @@ def test_supersymmetry_of_discretized_degrees():
     assert np.allclose(nz0, nz1, rtol=1e-5)
 
 
+def test_fd_shift_matches_direct_solve():
+    # the cached base spectrum shifted by eps = +-mu against a solve of the
+    # shifted operator itself; they differ by the bisection tolerance
+    from scipy.linalg import eigh_tridiagonal
+
+    for mu in (1.0, 4.0, 16.0):
+        L = max(6.0 / np.sqrt(mu), 4.0)
+        for eps in (mu, -mu):
+            for m in (3000, 1500):
+                h = 2.0 * L / (m + 1)
+                x = -L + h * np.arange(1, m + 1)
+                direct = eigh_tridiagonal(
+                    2.0 / h**2 + mu**2 * x**2 + eps, np.full(m - 1, -1.0 / h**2),
+                    select="i", select_range=(0, 9), eigvals_only=True,
+                )
+                got = model._fd_spectrum(mu, eps, L, m, 10)
+                assert np.all(np.abs(got - direct) <= 1e-10 * np.maximum(np.abs(direct), mu))
+
+
+def test_fd_base_spectra_are_cached_read_only():
+    model._fd_base_spectrum.cache_clear()
+    for k in (0, 1):
+        for d in (0, 1):
+            model.numeric_model_check(model.MorseModelSpec(1, k), 5.0, d)
+    info = model._fd_base_spectrum.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    assert info.maxsize == model._FD_CACHE_SIZE
+    base = model._fd_base_spectrum(5.0, 4.0, 3000, 10)
+    with pytest.raises(ValueError):
+        base[0] = 0.0
+
+
 @pytest.mark.parametrize("grid", [19, 0, -5])
 def test_model_check_rejects_too_small_grid(grid, monkeypatch):
     # the half grid must hold the 10 compared eigenvalues; the bound is

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,16 +82,42 @@ def test_pairing_matches_gl129_and_is_certified(name, mu, request):
         assert res.quadrature_error <= 1e-9 * mass / (2.0 * np.pi)
 
 
-def test_unresolved_rule_raises(exact2_small):
-    # on twice the radius the 32-point Gauss rule misses the Gaussian's peak
-    class Wide(zdist.GaussianTestFunction):
-        @property
-        def truncation_radius(self):
-            return 16.0 / self.sigma
+class WideGaussian(zdist.GaussianTestFunction):
+    """On twice the radius the 32-point Gauss rule misses the peak."""
 
+    @property
+    def truncation_radius(self):
+        return 16.0 / self.sigma
+
+
+def test_unresolved_rule_raises(exact2_small):
     with pytest.raises(ConvergenceError) as info:
-        zdist.pair_outer_first(exact2_small, 10.0, Wide(1.0))
+        zdist.pair_outer_first(exact2_small, 10.0, WideGaussian(1.0))
     assert info.value.data > 1e-6
+
+
+def test_unresolved_rule_message_names_the_bound(exact2_small):
+    # the estimate is checked against 1e-9 of the integrand mass, both on
+    # the 1/(2 pi) scale of the pairing, and the message prints all three
+    with pytest.raises(ConvergenceError) as info:
+        zdist.pair_outer_first(exact2_small, 10.0, WideGaussian(1.0))
+    match = re.fullmatch(
+        r"frequency quadrature estimate (\S+) exceeds the bound (\S+), "
+        r"1e-09 of the integrand mass (\S+), at mu=10", str(info.value))
+    error, bound, mass = map(float, match.groups())
+    assert error == float(f"{info.value.data:.3e}") > bound
+    assert bound == pytest.approx(1e-9 * mass, rel=2e-3)
+
+
+@pytest.mark.parametrize("mus", [[10.0], [10.0, 10.0]])
+def test_delta_limit_report_needs_two_strengths(mus, exact2_small, monkeypatch):
+    # the 1/mu fit is refused before any pairing runs
+    def unreachable(*args):
+        raise AssertionError("pairing reached")
+
+    monkeypatch.setattr(zdist, "pair_outer_first", unreachable)
+    with pytest.raises(DomainError, match="two distinct strengths"):
+        zdist.delta_limit_report(exact2_small, mus, [zdist.GaussianTestFunction(1.0)], 0.0)
 
 
 def test_zero_test_function(exact2):
