@@ -62,6 +62,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 4096
+_ZERO_BRACKET = 1e-14  # width to which a located zero's sign change is narrowed
+_ZERO_SPLIT = 32  # parts a bracket is cut into per pass
 #: Parameters kept in a system's one spectral cache, shared by
 #: :meth:`CircleWittenSystem.zeta_data` and
 #: :meth:`CircleWittenSystem.singular_values` and evicted oldest first: room
@@ -261,6 +263,25 @@ class StandardOneForm:
 # The system
 
 
+def _multisect(fn, lo, hi, negative_at_lo):
+    """The sign changes of the vectorized ``fn``, one in each [lo_i, hi_i]
+    (fn(lo_i) < 0 where ``negative_at_lo``, and fn(hi_i) of the other sign),
+    narrowed to brackets of ``_ZERO_BRACKET``.  Each pass evaluates fn at
+    the ``_ZERO_SPLIT - 1`` interior points of every bracket in one call and
+    keeps the first part that crosses."""
+    frac = np.arange(1, _ZERO_SPLIT) / _ZERO_SPLIT
+    rows = np.arange(len(lo))
+    while np.any(hi - lo > _ZERO_BRACKET):
+        inner = lo[:, None] + (hi - lo)[:, None] * frac
+        values = np.asarray(fn(inner.ravel()), dtype=float).reshape(inner.shape)
+        crossed = np.column_stack([(values < 0.0) != negative_at_lo[:, None],
+                                   np.ones(len(lo), dtype=bool)])
+        first = np.argmax(crossed, axis=1)
+        points = np.column_stack([lo, inner, hi])
+        lo, hi = points[rows, first], points[rows, first + 1]
+    return 0.5 * (lo + hi)
+
+
 class CircleWittenSystem:
     """Grid data of a circle system plus cached spectral quantities.
 
@@ -362,22 +383,17 @@ class CircleWittenSystem:
     # -- basic geometry ------------------------------------------------------
 
     def _locate_zeros(self):
-        from scipy.optimize import brentq
-
         dense = self._dense
         m = len(dense)
-        dt = TWO_PI / m
         fn = self._eta_fn
         f = lambda t: float(np.asarray(fn(np.atleast_1d(t))).ravel()[0])
+        # a zero on the dense grid, or one sign change between neighbours
+        on_grid = np.flatnonzero(dense == 0.0)
+        change = np.flatnonzero(dense * np.roll(dense, -1) < 0)
+        crossings = _multisect(fn, TWO_PI * change / m, TWO_PI * (change + 1) / m,
+                               dense[change] < 0.0)
         zeros = []
-        for i in range(m):
-            a, b = dense[i], dense[(i + 1) % m]
-            if a == 0.0:
-                t0 = i * dt
-            elif a * b < 0:
-                t0 = brentq(f, i * dt, (i + 1) * dt, xtol=1e-14)
-            else:
-                continue
+        for t0 in np.concatenate([TWO_PI * on_grid / m, crossings]).tolist():
             slope = (f(t0 + 1e-6) - f(t0 - 1e-6)) / 2e-6
             if abs(slope) < 1e-8:
                 raise GeometryError(f"degenerate zero near theta = {t0:.6f}")

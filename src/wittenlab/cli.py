@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Deterministic: identical configuration produces identical report files.  Exit codes: 0 all thresholds pass, 1 a threshold failed, 2 usage
-error, 3 infeasible input, 4 falsified mathematical certificate.
+error, 3 infeasible input, 4 falsified mathematical certificate.  A run
+writes each warning category once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -464,11 +466,30 @@ def build_parser():
     return p
 
 
+@contextlib.contextmanager
+def _each_warning_kind_once():
+    """Show only the first warning of each category inside the block.  A
+    sweep repeats one warning at every node, each time with its own
+    numbers, so the once-per-location filter lets every repeat through."""
+    with warnings.catch_warnings():
+        shown = set()
+        show = warnings.showwarning
+
+        def show_first(message, category, *args, **kwargs):
+            if category not in shown:
+                shown.add(category)
+                show(message, category, *args, **kwargs)
+
+        warnings.showwarning = show_first
+        yield
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with _each_warning_kind_once():
+            code = args.func(args)
     except _FALSIFIED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED

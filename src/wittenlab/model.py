@@ -14,20 +14,21 @@ discretization.
 The cutoff normalization is a trapezoidal sum: its integrand is C-infinity
 with every derivative vanishing at the ends of its support, where the
 trapezoidal rule converges faster than any power of the step (Trefethen and
-Weideman, SIAM Review 56(3), 2014).  Only the finite-difference check loads
-SciPy (its tridiagonal eigensolver), and only when it runs.  The sign term
+Weideman, SIAM Review 56(3), 2014).  The sign term
 mu eps_j [dx_j interior, dx_j wedge] is the constant +-mu in one dimension,
 so the check solves -u'' + mu^2 x^2 once per strength and grid and shifts
 the eigenvalues; a bounded cache shares those solves between the index and
-degree cases.
+degree cases.  Each solve is a Rayleigh-Ritz in the grid's lowest sine
+modes, certified on the tridiagonal operator by its Ritz residuals and an
+inertia count (numpy alone).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
 
 import numpy as np
 
@@ -48,6 +49,12 @@ DEFAULT_MAX_QUANTA = 6
 _MAX_RECORDS = 10**6  # model_spectrum's bound; the benchmark's n = 3 needs 1029
 _FD_COUNT = 10  # lowest eigenvalues compared by numeric_model_check
 _FD_REL_TOL = 1e-4  # largest two-grid drift numeric_model_check accepts
+_FD_RITZ_TOL = 1e-7  # largest Ritz residual, relative to max(|theta|, mu)
+#: Sine modes per unit of L sqrt(mu) in the first Rayleigh-Ritz basis: they
+#: reach frequency 3 pi sqrt(mu), where the tenth oscillator state is about
+#: 1e-12 of its peak.  Where the walls are far, the certificate needs about
+#: 5.1 per unit (mu = 4 to 128).
+_FD_MODES_PER_WIDTH = 6.0
 #: Base spectra kept, one per (mu, grid): the fine and coarse grids of two
 #: strengths.  The four index/degree cases of one strength share two.
 _FD_CACHE_SIZE = 4
@@ -96,7 +103,7 @@ def model_spectrum(spec, degree, mu, max_quanta=DEFAULT_MAX_QUANTA):
         raise DomainError("mu must be positive")
     if max_quanta < 0:
         raise DomainError("max_quanta must be nonnegative")
-    count = (max_quanta + 1) ** spec.n * comb(spec.n, degree)
+    count = (max_quanta + 1) ** spec.n * math.comb(spec.n, degree)
     if count > _MAX_RECORDS:
         raise DomainError(f"{count} eigenvalue records exceed the bound {_MAX_RECORDS}")
     eps = spec.signs
@@ -174,20 +181,117 @@ class ModelCheckReport:
         return max(self.rel_errors)
 
 
+def _sine_transform(coeffs, m):
+    """Orthonormal DST-I of length m along the last axis of ``coeffs``, whose
+    entries are the leading sine modes k = 1, 2, ...: grid values from sine
+    coefficients.  The transform is its own inverse."""
+    pad = np.zeros(coeffs.shape[:-1] + (2 * (m + 1),))
+    pad[..., 1 : coeffs.shape[-1] + 1] = coeffs
+    return -np.sqrt(2.0 / (m + 1)) * np.fft.rfft(pad).imag[..., 1 : m + 1]
+
+
+def _count_below(diag, off, cut):
+    """Eigenvalues below ``cut`` of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and constant off-diagonal ``off``: the negative pivots
+    of the LDL^T factorization of T - cut I (Sylvester's law of inertia;
+    Barth, Martin and Wilkinson, Numer. Math. 9, 1967)."""
+    off2 = off * off
+    below = 0
+    pivot = -math.inf  # no coupling into the first row
+    for a in (diag - cut).tolist():
+        pivot = a - off2 / pivot if pivot else -math.inf
+        below += pivot < 0.0
+    return below
+
+
+def _sine_ritz(lap, cosines, K, n):
+    """The n lowest Ritz values of Laplacian + potential in the sine modes
+    k = 1..K, with their vectors (rows of K sine coefficients) and the
+    parity of their modes (1 odd, 0 even).  The Laplacian is diagonal there
+    (``lap``), and the potential is c_|k-l| - c_{k+l}, with c_j its
+    ``cosines``.  The grid is symmetric and the potential even, so the odd
+    and the even modes decouple and are solved as two blocks."""
+    values, vectors, parity = [], [], []
+    for first in (1, 2):
+        k = np.arange(first, K + 1, 2)
+        block = cosines[np.abs(k[:, None] - k)] - cosines[k[:, None] + k]
+        block[np.diag_indices(len(k))] += lap[k - 1]
+        w, y = np.linalg.eigh(block)
+        embedded = np.zeros((min(n, len(k)), K))
+        embedded[:, k - 1] = y[:, :n].T
+        values.append(w[:n])
+        vectors.append(embedded)
+        parity.append(np.full(len(embedded), first % 2))
+    values = np.concatenate(values)
+    order = np.argsort(values)[:n]
+    return values[order], np.vstack(vectors)[order], np.concatenate(parity)[order]
+
+
 @functools.lru_cache(maxsize=_FD_CACHE_SIZE)
 def _fd_base_spectrum(mu, L, m, count):
-    """Lowest eigenvalues of -u'' + mu^2 x^2 on (-L, L), Dirichlet, read-only."""
-    from scipy.linalg import eigh_tridiagonal
+    """Lowest ``count`` eigenvalues of the finite-difference operator T of
+    -u'' + mu^2 x^2 on the m interior points of (-L, L), Dirichlet,
+    certified and read-only.
 
+    Rayleigh-Ritz in the lowest K sine modes of the grid: the second
+    difference is diagonal there, 4/h^2 sin^2(k pi / 2(m+1)), and the
+    potential's cosine coefficients come from one FFT of length 2(m+1).
+    The result is certified on T itself, or NumericalError is raised:
+    every value lies within its Ritz residual ||T v - theta v|| (at most
+    ``_FD_RITZ_TOL`` of max(|theta|, mu)) of an eigenvalue of its parity
+    block (the grid's reflection splits T into an even and an odd block,
+    and a coarse grid pairs their states to rounding), the intervals of one
+    parity are disjoint, and an LDL^T inertia count puts exactly ``count``
+    eigenvalues below a cut above every interval, midway between the
+    count-th Ritz value and the next.  So each interval holds its own
+    eigenvalue.  The values themselves are closer still, by the square of
+    the residual over the gap (Kato-Temple).
+
+    K starts where the sine modes reach frequency 3 pi sqrt(mu) and grows
+    until the certificate holds; K = m is the whole basis.  The growth
+    assumes the slowest decay the residual can have: (x^2 u)'' does not
+    vanish at the walls, so the sine coefficients of u fall like k^-5 and
+    the residual like K^-5/2.
+    """
     h = 2.0 * L / (m + 1)
     x = -L + h * np.arange(1, m + 1)
-    diag = 2.0 / h**2 + mu**2 * x**2
-    off = np.full(m - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
-    vals.flags.writeable = False
-    return vals
+    potential = (mu * x) ** 2
+    diag = 2.0 / h**2 + potential
+    lap = (2.0 / h * np.sin(np.pi / (2 * (m + 1)) * np.arange(1, m + 1))) ** 2
+    padded = np.zeros(2 * (m + 1))
+    padded[1 : m + 1] = potential
+    cosines = np.fft.rfft(padded).real / (m + 1)  # c_0 .. c_{m+1}
+    cosines = np.concatenate([cosines, cosines[m:0:-1]])  # c_j = c_{2(m+1)-j}
+    n = min(count + 1, m)
+    K = min(m, max(n, math.ceil(_FD_MODES_PER_WIDTH * L * math.sqrt(mu))))
+    while True:
+        theta, coeffs, parity = _sine_ritz(lap, cosines, K, n)
+        v = _sine_transform(coeffs[:count], m)
+        tv = diag * v
+        tv[:, 1:] -= v[:, :-1] / h**2
+        tv[:, :-1] -= v[:, 1:] / h**2
+        vals = theta[:count]
+        resid = np.linalg.norm(tv - vals[:, None] * v, axis=1)
+        excess = float(np.max(resid / (_FD_RITZ_TOL * np.maximum(np.abs(vals), mu))))
+        certified = excess <= 1.0 and all(
+            np.all(vals[same][1:] - resid[same][1:] > vals[same][:-1] + resid[same][:-1])
+            for same in (parity[:count] == 0, parity[:count] == 1)
+        )
+        if certified and count < K:
+            cut = 0.5 * (theta[count - 1] + theta[count])
+            certified = (np.all(vals + resid < cut)
+                         and _count_below(diag, -1.0 / h**2, cut) == count)
+        if certified:
+            vals = vals.copy()
+            vals.flags.writeable = False
+            return vals
+        if K == m:
+            raise NumericalError(
+                f"finite-difference spectrum not certified in the whole sine "
+                f"basis (m = {m}): Ritz residuals up to {excess:.2e} times "
+                f"their bound, or overlapping or miscounted eigenvalues"
+            )
+        K = min(m, math.ceil(K * max(2.0, 1.25 * excess**0.4)))
 
 
 def _fd_spectrum(mu, eps_term, L, m, count):

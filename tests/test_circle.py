@@ -172,6 +172,30 @@ def test_shifted_shallow_arc_gains_two_zeros():
     assert np.allclose(sys._eta_fn(np.array(positions)), 0.0, atol=1e-12)
 
 
+def _brentq_zeros(system):
+    # the reference: SciPy's brentq on each sign change of the dense samples
+    from scipy.optimize import brentq
+
+    dense = system._dense
+    m = len(dense)
+    f = lambda t: float(system._eta_fn(np.array([t]))[0])
+    roots = [2 * np.pi * i / m for i in np.flatnonzero(dense == 0.0)]
+    for i in np.flatnonzero(dense * np.roll(dense, -1) < 0):
+        roots.append(brentq(f, 2 * np.pi * i / m, 2 * np.pi * (i + 1) / m, xtol=1e-14))
+    return sorted(r % (2 * np.pi) for r in roots)
+
+
+def test_zero_location_matches_brentq(trig256):
+    shallow = wl.CircleWittenSystem.from_standard_zeros(
+        [(0.0, 0.2, 1), (np.pi, -0.2, 0)], r=0.35, N=256, c=0.1
+    )
+    for system in (trig256, shallow):
+        got = [z.position for z in system._locate_zeros()]
+        want = _brentq_zeros(system)
+        assert len(got) == len(want) == 4
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13
+
+
 # -- complex assembly and spectra ---------------------------------------------
 
 

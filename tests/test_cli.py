@@ -175,29 +175,62 @@ for command in [list(args) for cut, args in split if not cut]:
 
 
 def test_import_and_readme_commands_load_no_scipy(tmp_path):
-    # only the finite-difference model check and zero location on sampled
-    # profiles load SciPy; the import, these README commands (the cell
-    # integrals of circle phi included) and a shifted standard form (whose
-    # zeros are known in closed form) do not
-    shifted = tmp_path / "shifted.json"
-    shifted.write_text(json.dumps({
-        "type": "standard_zeros", "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]],
-        "r": 0.35, "c": 0.1, "N": 128}))
+    # the package needs numpy alone: the import, these README commands (the
+    # finite-difference model check and the cell integrals of circle phi
+    # included), a shifted standard form whose zeros are known in closed
+    # form, a shifted shallow arc and a trig_profile (whose zeros are
+    # located numerically) load no SciPy module
+    configs = {
+        "shifted": {"type": "standard_zeros", "r": 0.35, "c": 0.1, "N": 128,
+                    "zeros": [[0.0, 1.0, 1], [3.141592653589793, -1.0, 0]]},
+        "shallow": {"type": "standard_zeros", "r": 0.35, "c": 0.1, "N": 128,
+                    "zeros": [[0.0, 0.2, 1], [3.141592653589793, -0.2, 0]]},
+        "trig": {"type": "trig_profile", "cos": [1.0, 0.45], "N": 128},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_CHECK,
-         "circle", "zeta", "--config", str(DATA / "two_zero_exact.json"), "--mu", "30",
+         "model", "check", "--mu", "4",
+         "--", "circle", "zeta", "--config", str(DATA / "two_zero_exact.json"), "--mu", "30",
          "--", "morse", "analyze", "--graph", str(DATA / "s1.graph"), "--mu", "20",
-         "--", "circle", "zeta", "--config", str(shifted), "--mu", "5",
+         "--", "circle", "zeta", "--config", str(tmp_path / "shifted.json"), "--mu", "5",
+         "--", "circle", "gap", "--config", str(tmp_path / "shallow.json"), "--mu", "5",
+         "--", "circle", "zeta", "--config", str(tmp_path / "trig.json"), "--mu", "5",
          "--", "circle", "phi", "--config", str(DATA / "four_zero_exact.json"),
          "--mu", "8,12,16"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("max rel error") == 4
     assert "zeta1=" in proc.stdout and "z_sm       = 0.45" in proc.stdout
-    assert "mu=5: zeta1=" in proc.stdout
+    assert proc.stdout.count("mu=5: zeta1=") == 2
+    assert "count=2" in proc.stdout
     assert "[PASS] off-diagonal decreasing" in proc.stdout
+
+
+def test_repeated_warning_is_written_once(tmp_path):
+    # the kernel margin of this system is ambiguous at nearly every node of
+    # the pairing; each repeat carries its own threshold, yet the run writes
+    # the warning once, then the quadrature error, and exits 3
+    cfg = tmp_path / "arcs.json"
+    cfg.write_text(json.dumps({
+        "type": "arc_weights", "positions": [0.0, 3.141592653589793], "indices": [1, 0],
+        "weights": [-1.6, 2.2], "r": 0.35, "N": 128}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittenlab.cli", "zdist", "pair", "--config", str(cfg),
+         "--mu", "10", "--sigma", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert sum("AmbiguousKernel" in line for line in lines) == 1
+    assert lines[-1].startswith("error: frequency quadrature estimate ")
+    assert lines[-1].endswith("of the integrand mass 3.013e-01, at mu=10")
 
 
 @pytest.mark.parametrize("threads", ["1", None])

@@ -168,6 +168,44 @@ def test_fd_shift_matches_direct_solve():
                 assert np.all(np.abs(got - direct) <= 1e-10 * np.maximum(np.abs(direct), mu))
 
 
+@pytest.mark.parametrize("mu", [0.5, 1.0, 4.0, 16.0, 64.0])
+def test_sine_ritz_spectrum_matches_tridiagonal_solver(mu):
+    # the certified Rayleigh-Ritz against SciPy's tridiagonal bisection:
+    # below mu = 2.25 the walls sit at mu L^2 = 36 and the basis must grow;
+    # m = 10 is the half grid of the smallest check and takes the whole basis
+    from scipy.linalg import eigh_tridiagonal
+
+    L = max(6.0 / np.sqrt(mu), 4.0)
+    for m in (10, 110, 1500, 3000):
+        h = 2.0 * L / (m + 1)
+        x = -L + h * np.arange(1, m + 1)
+        want = eigh_tridiagonal(
+            2.0 / h**2 + mu**2 * x**2, np.full(m - 1, -1.0 / h**2),
+            select="i", select_range=(0, 9), eigvals_only=True,
+        )
+        model._fd_base_spectrum.cache_clear()
+        got = model._fd_base_spectrum(mu, L, m, 10)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), mu))
+
+
+def test_inertia_count_matches_eigenvalues():
+    rng = np.random.default_rng(3)
+    diag = rng.uniform(-2.0, 2.0, 40)
+    dense = np.diag(diag) + np.diag(np.full(39, 0.7), 1) + np.diag(np.full(39, 0.7), -1)
+    eig = np.linalg.eigvalsh(dense)
+    for cut in (-3.0, 0.1, 1.3, 5.0, *(0.5 * (eig[1:] + eig[:-1]))[::7]):
+        assert model._count_below(diag, 0.7, cut) == np.count_nonzero(eig < cut)
+
+
+def test_fd_spectrum_raises_when_the_inertia_count_disagrees(monkeypatch):
+    # one eigenvalue more below the cut than Ritz values: the basis grows
+    # to the whole grid, and the count still disagrees
+    monkeypatch.setattr(model, "_count_below", lambda diag, off, cut: 11)
+    model._fd_base_spectrum.cache_clear()
+    with pytest.raises(NumericalError, match="not certified in the whole sine basis"):
+        model._fd_base_spectrum(4.0, 4.0, 110, 10)
+
+
 def test_fd_base_spectra_are_cached_read_only():
     model._fd_base_spectrum.cache_clear()
     for k in (0, 1):
@@ -184,7 +222,7 @@ def test_fd_base_spectra_are_cached_read_only():
 @pytest.mark.parametrize("grid", [19, 0, -5])
 def test_model_check_rejects_too_small_grid(grid, monkeypatch):
     # the half grid must hold the 10 compared eigenvalues; the bound is
-    # checked before the eigensolver (and SciPy) is reached
+    # checked before the eigensolver is reached
     def unreachable(*args):
         raise AssertionError("eigensolver reached")
 
